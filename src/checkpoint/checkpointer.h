@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "memtrack/tracker.h"
 #include "region/address_space.h"
-#include "storage/async_writer.h"
 #include "storage/backend.h"
 
 namespace ickpt::checkpoint {
@@ -37,10 +36,6 @@ struct CheckpointerOptions {
   /// Worker threads for page encoding; <= 1 encodes inline on the
   /// calling thread.  The output bytes are identical either way.
   int encode_threads = 1;
-  /// Overlap device latency with computation: encode each checkpoint
-  /// into memory and hand it to a background writer thread.  flush()
-  /// is the durability barrier; write errors surface there.
-  bool async = false;
 };
 
 struct CheckpointMeta {
@@ -63,12 +58,6 @@ class Checkpointer {
       region::AddressSpace& space, storage::StorageBackend* storage,
       CheckpointerOptions options = {});
 
-  /// Deprecated shim: constructs without validation, clamping
-  /// `encode_threads` to at least 1.  Use create() instead.
-  [[deprecated("use Checkpointer::create(), which validates options")]]
-  Checkpointer(region::AddressSpace& space, storage::StorageBackend& storage,
-               CheckpointerOptions options = {});
-
   /// Write every page of every live block.
   Result<CheckpointMeta> checkpoint_full(double virtual_time);
 
@@ -87,18 +76,16 @@ class Checkpointer {
   /// full checkpoint (they can never be needed again).
   Status truncate_before_last_full();
 
-  /// Durability barrier.  In async mode, blocks until every submitted
-  /// checkpoint has reached the backend and returns the first write
-  /// error, if any; in sync mode it is a no-op.  Call before reading
-  /// the store back (restore, fsck) or declaring a step committed.
-  Status flush();
+  /// Always OK: every checkpoint_* call has already closed its object
+  /// on the backend (durable on a durable store) when it returns.
+  Status flush() { return Status::ok(); }
 
   std::uint64_t next_sequence() const noexcept { return next_seq_; }
 
  private:
-  struct Validated {};  // tag: options already checked / sanitized
-  Checkpointer(Validated, region::AddressSpace& space,
-               storage::StorageBackend& storage, CheckpointerOptions options);
+  /// Options already checked by create().
+  Checkpointer(region::AddressSpace& space, storage::StorageBackend& storage,
+               CheckpointerOptions options);
 
   Result<CheckpointMeta> write_checkpoint(
       Kind kind, const memtrack::DirtySnapshot* snapshot,
@@ -111,8 +98,7 @@ class Checkpointer {
   region::AddressSpace& space_;
   storage::StorageBackend& storage_;
   CheckpointerOptions options_;
-  std::unique_ptr<ThreadPool> pool_;           ///< encode_threads > 1
-  std::unique_ptr<storage::AsyncWriter> async_;///< options_.async
+  std::unique_ptr<ThreadPool> pool_;  ///< encode_threads > 1
   std::vector<CheckpointMeta> chain_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t since_full_ = 0;

@@ -84,4 +84,10 @@ static_assert(sizeof(FileTrailer) == 8);
 /// Defined here so writer, restorer and GC agree on the layout.
 std::string checkpoint_key(std::uint32_t rank, std::uint64_t sequence);
 
+/// Pages per encode/decode shard for `threads` workers: enough shards
+/// to balance them, large enough to amortize dispatch, bounded so one
+/// shard's buffer stays a few MB.  Shared so the encoder and the
+/// parallel restore decoder cut a run at the same page boundaries.
+std::uint32_t pick_shard_pages(std::uint64_t total_pages, int threads);
+
 }  // namespace ickpt::checkpoint

@@ -6,10 +6,12 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "checkpoint/compress.h"
 #include "checkpoint/format.h"
 #include "common/crc32.h"
+#include "common/io_util.h"
 #include "common/page.h"
 #include "common/thread_pool.h"
 #include "obs/flightrec.h"
@@ -62,20 +64,35 @@ struct RestoreMetrics {
   }
 };
 
+/// Fill `out` through `rd` (any callable with the storage::Reader::read
+/// contract; see ioutil::read_full).  An object that ends first is
+/// kCorruption(`truncated`).
+template <typename ReadFn>
+Status read_exact(ReadFn&& rd, std::span<std::byte> out,
+                  std::string_view truncated) {
+  auto got = ioutil::read_full(std::forward<ReadFn>(rd), out);
+  if (!got.is_ok()) return got.status();
+  if (*got < out.size()) return corruption(std::string(truncated));
+  return Status::ok();
+}
+
+/// read_exact from `in`'s sequential cursor.
+Status read_exact(storage::Reader& in, std::span<std::byte> out,
+                  std::string_view truncated) {
+  return read_exact(
+      [&in](std::span<std::byte> rest) { return in.read(rest); }, out,
+      truncated);
+}
+
 /// Buffered sequential reader with CRC tracking and strict bounds.
 class CrcReader {
  public:
   explicit CrcReader(storage::Reader& in) : in_(in) {}
 
   Status read_exact(void* out, std::size_t len) {
-    auto* dst = static_cast<std::byte*>(out);
-    std::size_t got_total = 0;
-    while (got_total < len) {
-      auto got = in_.read({dst + got_total, len - got_total});
-      if (!got.is_ok()) return got.status();
-      if (*got == 0) return corruption("truncated checkpoint file");
-      got_total += *got;
-    }
+    ICKPT_RETURN_IF_ERROR(checkpoint::read_exact(
+        in_, {static_cast<std::byte*>(out), len},
+        "truncated checkpoint file"));
     crc_.update(out, len);
     consumed_ += len;
     return Status::ok();
@@ -83,14 +100,9 @@ class CrcReader {
 
   /// Read without CRC accounting (for the trailer itself).
   Status read_raw(void* out, std::size_t len) {
-    auto* dst = static_cast<std::byte*>(out);
-    std::size_t got_total = 0;
-    while (got_total < len) {
-      auto got = in_.read({dst + got_total, len - got_total});
-      if (!got.is_ok()) return got.status();
-      if (*got == 0) return corruption("truncated checkpoint trailer");
-      got_total += *got;
-    }
+    ICKPT_RETURN_IF_ERROR(checkpoint::read_exact(
+        in_, {static_cast<std::byte*>(out), len},
+        "truncated checkpoint trailer"));
     consumed_ += len;
     return Status::ok();
   }
@@ -354,14 +366,9 @@ Result<FileHeader> peek_header(storage::StorageBackend& storage,
   auto reader = storage.open(key);
   if (!reader.is_ok()) return reader.status();
   FileHeader h;
-  auto* dst = reinterpret_cast<std::byte*>(&h);
-  std::size_t got_total = 0;
-  while (got_total < sizeof h) {
-    auto got = (*reader)->read({dst + got_total, sizeof h - got_total});
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("bad header in " + key);
-    got_total += *got;
-  }
+  ICKPT_RETURN_IF_ERROR(read_exact(
+      **reader, {reinterpret_cast<std::byte*>(&h), sizeof h},
+      "bad header in " + key));
   ICKPT_RETURN_IF_ERROR(validate_header(h, key));
   return h;
 }
@@ -483,35 +490,25 @@ struct DecodeShard {
 /// random access and falling back to a sequential skip-read.
 Status read_range(storage::Reader& in, std::uint64_t offset,
                   std::span<std::byte> out) {
+  constexpr std::string_view kTruncated = "truncated checkpoint file";
   if (in.supports_read_at()) {
-    std::size_t got_total = 0;
-    while (got_total < out.size()) {
-      auto got = in.read_at(offset + got_total,
-                            out.subspan(got_total));
-      if (!got.is_ok()) return got.status();
-      if (*got == 0) return corruption("truncated checkpoint file");
-      got_total += *got;
-    }
-    return Status::ok();
+    return read_exact(
+        [&](std::span<std::byte> rest) {
+          return in.read_at(offset + static_cast<std::uint64_t>(
+                                         rest.data() - out.data()),
+                            rest);
+        },
+        out, kTruncated);
   }
   // Sequential reader: discard up to `offset`, then read-exact.
   std::vector<std::byte> scratch(ObjectScanner::kBufSize);
-  std::uint64_t to_skip = offset;
-  while (to_skip > 0) {
-    auto n = std::min<std::uint64_t>(to_skip, scratch.size());
-    auto got = in.read({scratch.data(), static_cast<std::size_t>(n)});
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("truncated checkpoint file");
-    to_skip -= *got;
+  for (std::uint64_t to_skip = offset; to_skip > 0;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(to_skip, scratch.size()));
+    ICKPT_RETURN_IF_ERROR(read_exact(in, {scratch.data(), n}, kTruncated));
+    to_skip -= n;
   }
-  std::size_t got_total = 0;
-  while (got_total < out.size()) {
-    auto got = in.read(out.subspan(got_total));
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("truncated checkpoint file");
-    got_total += *got;
-  }
-  return Status::ok();
+  return read_exact(in, out, kTruncated);
 }
 
 /// Decode one shard: read its byte range, CRC it, decode the winner
@@ -582,16 +579,6 @@ void run_shard(storage::StorageBackend& storage,
     if (!s.status.is_ok()) return;
     ++s.decoded;
   }
-}
-
-/// Shard granularity: mirror the encoder's policy — enough shards to
-/// balance the workers, large enough to amortize dispatch, bounded so
-/// one shard's buffer stays a few MB.
-std::uint32_t pick_shard_pages(std::uint64_t total_pages, int threads) {
-  const std::uint64_t target =
-      total_pages / (static_cast<std::uint64_t>(threads) * 8) + 1;
-  return static_cast<std::uint32_t>(
-      std::clamp<std::uint64_t>(target, 16, 1024));
 }
 
 /// One strict plan-then-decode attempt at `upto`.  In tolerant mode

@@ -93,17 +93,6 @@ class StorageBackend {
 };
 
 struct FileBackendOptions {
-  /// Write objects with O_DIRECT through an aligned staging buffer,
-  /// bypassing the page cache (the encode pipeline emits full-object
-  /// buffers, so writes are large and sequential — ideal direct-I/O
-  /// shape).  The filesystem's logical block size is probed once per
-  /// backend directory (512 B, then 4 KiB); filesystems that refuse
-  /// O_DIRECT (tmpfs, some overlayfs) fall back transparently to
-  /// buffered writes and increment the storage.direct_io_fallback
-  /// counter.  close()/rename visibility and flush() durability
-  /// semantics are identical in both modes.
-  bool direct_io = false;
-
   /// Make close() crash-durable: fdatasync the object bytes before the
   /// rename and fsync the parent directory after it, so a successfully
   /// returned close() survives power loss — never a visible-but-empty
@@ -114,18 +103,6 @@ struct FileBackendOptions {
   /// acceptable (bench scratch, caches).
   bool durable_publish = true;
 };
-
-/// Test-only fault hooks for the file writers (no-ops in production).
-namespace testing_hooks {
-/// Force the O_DIRECT block size instead of probing (0 = probe again).
-/// Lets tests exercise DirectFileWriter on filesystems whose probe
-/// would refuse O_DIRECT.
-void force_direct_block_size(std::size_t block);
-/// Make the next `n` data-write syscalls issued by DirectFileWriter
-/// fail with EINVAL (both the direct and the buffered path), so tests
-/// can drive the mid-write fallback/recovery logic on any filesystem.
-void fail_writes_einval(int n);
-}  // namespace testing_hooks
 
 /// Files under a directory; keys may contain '/' (subdirectories are
 /// created on demand).  Writes go to a ".tmp" sibling and are renamed

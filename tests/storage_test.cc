@@ -243,113 +243,6 @@ TEST(ReaderMapTest, FileReaderMapMatchesRead) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DirectIoTest, FallsBackWhenFilesystemRefusesODirect) {
-  // TempDir is tmpfs in most CI containers, which rejects O_DIRECT —
-  // the backend must degrade to buffered writes, count the fallback,
-  // and produce byte-identical objects.  On filesystems that do accept
-  // O_DIRECT the same assertions hold with zero fallback increments.
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_test";
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
-  const std::uint64_t before = fallbacks.value();
-
-  FileBackendOptions options;
-  options.direct_io = true;
-  auto backend = make_file_backend(dir, options);
-  ASSERT_TRUE(backend.is_ok());
-
-  std::string payload(1 << 20, 'x');
-  for (std::size_t i = 0; i < payload.size(); i += 7) payload[i] = 'y';
-  payload += "unaligned tail";  // forces the sub-block drop-direct path
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  EXPECT_EQ(read_all(**backend, "obj"), payload);
-  EXPECT_EQ((*backend)->total_bytes_stored(), payload.size());
-
-  // The probe runs once per backend directory: a second writer must
-  // not add another fallback increment.
-  auto w2 = (*backend)->create("obj2");
-  ASSERT_TRUE(w2.is_ok());
-  ASSERT_TRUE((*w2)->write(as_bytes("tiny")).is_ok());
-  ASSERT_TRUE((*w2)->close().is_ok());
-  const std::uint64_t after = fallbacks.value();
-  EXPECT_LE(after - before, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DirectIoTest, BufferedModeNeverTouchesFallbackCounter) {
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_off_test";
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
-  const std::uint64_t before = fallbacks.value();
-  auto backend = make_file_backend(dir);  // direct_io defaults off
-  ASSERT_TRUE(backend.is_ok());
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes("plain buffered")).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  EXPECT_EQ(fallbacks.value(), before);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DirectIoTest, MidWriteEinvalRecoversIntoCountedFallback) {
-  // A filesystem can accept the O_DIRECT probe/open and still reject a
-  // later write with EINVAL — including after the F_SETFL drop, which
-  // is advisory.  The fault hook injects exactly that: the writer must
-  // recover through the counted fallback path (never an opaque
-  // io_error) and produce byte-identical content.
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_einval_test";
-  std::filesystem::remove_all(dir);
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
-  const std::uint64_t before = fallbacks.value();
-
-  // Force the probe result so a DirectFileWriter is built even on
-  // tmpfs, where the real probe would refuse O_DIRECT.
-  testing_hooks::force_direct_block_size(512);
-  FileBackendOptions options;
-  options.direct_io = true;
-  auto backend = make_file_backend(dir, options);
-  ASSERT_TRUE(backend.is_ok());
-
-  std::string payload((1 << 20) + 13, 'e');
-  for (std::size_t i = 0; i < payload.size(); i += 11) payload[i] = 'E';
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  testing_hooks::fail_writes_einval(1);
-  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  testing_hooks::fail_writes_einval(0);
-  testing_hooks::force_direct_block_size(0);
-
-  EXPECT_EQ(read_all(**backend, "obj"), payload);
-  EXPECT_GT(fallbacks.value(), before);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DirectIoTest, RepeatedEinvalAfterReopenIsAnError) {
-  // The buffered reopen happens at most once per writer; a filesystem
-  // that keeps EINVALing afterwards surfaces as a real error instead
-  // of looping.
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_einval2_test";
-  std::filesystem::remove_all(dir);
-  testing_hooks::force_direct_block_size(512);
-  FileBackendOptions options;
-  options.direct_io = true;
-  auto backend = make_file_backend(dir, options);
-  ASSERT_TRUE(backend.is_ok());
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  std::string payload(2 << 20, 'r');
-  testing_hooks::fail_writes_einval(1000);
-  auto st = (*w)->write(as_bytes(payload));
-  if (st.is_ok()) st = (*w)->close();
-  testing_hooks::fail_writes_einval(0);
-  testing_hooks::force_direct_block_size(0);
-  EXPECT_EQ(st.code(), ErrorCode::kIoError);
-  EXPECT_FALSE((*backend)->exists("obj"));
-  std::filesystem::remove_all(dir);
-}
-
 TEST(DurablePublishTest, CloseSyncsFileAndDirectory) {
   std::string dir = ::testing::TempDir() + "/ickpt_durable_test";
   std::filesystem::remove_all(dir);
