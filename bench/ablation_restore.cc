@@ -1,12 +1,10 @@
 // Ablation X9: the plan-then-decode restore pipeline.
 //
 // Builds full+incremental chains of increasing length over a mixed
-// dirty set, then restores each chain three ways — the serial
-// reference (parse everything, overlay in memory), the planned
-// pipeline with one decode thread, and the planned pipeline with a
-// worker pool — and reports wall time, restored throughput and how
-// many pages the plan decoded vs skipped as superseded.  Byte identity
-// against the serial restorer is asserted on every configuration.
+// dirty set, then restores each chain with one decode thread and with
+// a worker pool, and reports wall time, restored throughput and how
+// many pages the plan decoded vs skipped as superseded.  Every restore
+// must reproduce, byte for byte, the state build_chain wrote.
 #include "bench/bench_util.h"
 
 #include <chrono>
@@ -55,9 +53,11 @@ void fill_mixed(std::span<std::byte> mem, Rng& rng) {
 }
 
 /// Write a full checkpoint plus `incrementals` deltas, each dirtying a
-/// random eighth of the pages, into `storage`.
-void build_chain(storage::StorageBackend& storage, std::size_t mb,
-                 int incrementals, Rng& rng) {
+/// random eighth of the pages, into `storage`.  Returns the state the
+/// last checkpoint wrote: what a restore of the chain must reproduce.
+checkpoint::RestoredState build_chain(storage::StorageBackend& storage,
+                                      std::size_t mb, int incrementals,
+                                      Rng& rng) {
   memtrack::ExplicitEngine engine;
   region::AddressSpace space(engine, "bench");
   auto block = space.map(mb * kMB, region::AreaKind::kHeap, "state");
@@ -81,17 +81,31 @@ void build_chain(storage::StorageBackend& storage, std::size_t mb,
     if (!snap.is_ok()) std::exit(1);
     if (!ckpt->checkpoint_incremental(*snap, 1.0 + i).is_ok()) std::exit(1);
   }
+
+  checkpoint::RestoredState written;
+  written.sequence = static_cast<std::uint64_t>(incrementals);
+  written.virtual_time = incrementals;
+  checkpoint::RestoredBlock& b = written.blocks[block->id];
+  b.id = block->id;
+  b.name = "state";
+  b.kind = region::AreaKind::kHeap;
+  b.data.assign(block->mem.begin(), block->mem.end());
+  return written;
 }
 
 bool states_identical(const checkpoint::RestoredState& a,
                       const checkpoint::RestoredState& b) {
-  if (a.sequence != b.sequence || a.blocks.size() != b.blocks.size()) {
+  if (a.sequence != b.sequence || a.virtual_time != b.virtual_time ||
+      a.blocks.size() != b.blocks.size()) {
     return false;
   }
   for (const auto& [id, block] : a.blocks) {
     auto it = b.blocks.find(id);
     if (it == b.blocks.end()) return false;
-    if (block.data.size() != it->second.data.size()) return false;
+    if (block.name != it->second.name || block.kind != it->second.kind ||
+        block.data.size() != it->second.data.size()) {
+      return false;
+    }
     if (std::memcmp(block.data.data(), it->second.data.data(),
                     block.data.size()) != 0) {
       return false;
@@ -151,7 +165,7 @@ int main(int argc, char** argv) {
                   " MB state, restores x" + TextTable::num(reps, 0) + ", " +
                   TextTable::num(hw, 0) + " hardware threads)");
   table.set_header({"Chain", "Variant", "Seconds", "MB/s", "Decoded",
-                    "Skipped", "Speedup vs serial"});
+                    "Skipped", "Speedup vs planned 1T"});
 
   BenchJson bench_json("restore", args);
   const std::uint64_t arm_bytes =
@@ -159,68 +173,48 @@ int main(int argc, char** argv) {
   Rng rng(2026);
   for (int incrementals : chain_sweep) {
     auto storage = storage::make_memory_backend();
-    build_chain(*storage, mb, incrementals, rng);
+    const checkpoint::RestoredState written =
+        build_chain(*storage, mb, incrementals, rng);
     const std::string chain_label = "1+" + std::to_string(incrementals);
 
-    // Serial reference first: its output is the identity oracle.
-    checkpoint::RestoredState reference;
-    Timed serial;
-    bench_json.run_arm("chain" + chain_label + "_serial", arm_bytes, [&] {
-      serial = time_restore(
-          [&] {
-            auto s = checkpoint::restore_chain_serial(*storage, 0);
-            if (!s.is_ok()) std::exit(1);
-            reference = std::move(s.value());
-          },
-          reps);
-    });
-
-    struct Variant {
-      const char* name;
-      int threads;
-    };
-    const Variant variants[] = {{"serial", 0},
-                                {"planned 1T", 1},
-                                {"planned pool", pool_threads}};
-    for (const Variant& v : variants) {
+    double one_thread_secs = 0;
+    for (int threads : {1, pool_threads}) {
+      checkpoint::RestoreOptions opts;
+      opts.decode_threads = threads;
+      const bool pool = threads > 1;
       Timed t;
-      if (v.threads == 0) {
-        t = serial;
-      } else {
-        checkpoint::RestoreOptions opts;
-        opts.decode_threads = v.threads;
-        const std::string arm_name =
-            "chain" + chain_label +
-            (v.threads == 1 ? "_planned_1t" : "_planned_pool");
-        bench_json.run_arm(arm_name, arm_bytes, [&] {
-          t = time_restore(
-              [&] {
-                auto s = checkpoint::restore_chain(*storage, 0, opts);
-                if (!s.is_ok()) std::exit(1);
-                if (!states_identical(reference, *s)) {
-                  std::cerr << "BYTE IDENTITY FAILED: " << v.name
-                            << " differs from serial restore (chain "
-                            << chain_label << ")\n";
-                  std::exit(1);
-                }
-              },
-              reps);
-        });
-      }
-      const double set_mb = static_cast<double>(mb);
+      bench_json.run_arm(
+          "chain" + chain_label + (pool ? "_planned_pool" : "_planned_1t"),
+          arm_bytes, [&] {
+            t = time_restore(
+                [&] {
+                  auto s = checkpoint::restore_chain(*storage, 0, opts);
+                  if (!s.is_ok()) std::exit(1);
+                  if (!states_identical(written, *s)) {
+                    std::cerr << "BYTE IDENTITY FAILED: " << threads
+                              << "-thread restore differs from the written "
+                                 "state (chain "
+                              << chain_label << ")\n";
+                    std::exit(1);
+                  }
+                },
+                reps);
+          });
+      if (!pool) one_thread_secs = t.seconds;
       table.add_row(
-          {chain_label, v.name, TextTable::num(t.seconds, 4),
-           TextTable::num(set_mb / t.seconds, 0),
+          {chain_label, pool ? "planned pool" : "planned 1T",
+           TextTable::num(t.seconds, 4),
+           TextTable::num(static_cast<double>(mb) / t.seconds, 0),
            TextTable::num(static_cast<double>(t.decoded), 0),
            TextTable::num(static_cast<double>(t.skipped), 0),
-           TextTable::num(serial.seconds > 0 ? serial.seconds / t.seconds : 1,
+           TextTable::num(t.seconds > 0 ? one_thread_secs / t.seconds : 1,
                           2)});
     }
   }
   // File-backed arms: the same chain on a real filesystem, decoded
   // once through buffered read_at and once through the zero-copy mmap
   // path (RestoreOptions::map_reads) — the ablation behind the
-  // map-reads default.  Byte identity against the serial restorer is
+  // map-reads default.  Byte identity with the written state is
   // asserted as above.
   {
     const int incrementals = args.quick ? 3 : 7;
@@ -232,12 +226,9 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    build_chain(**file_backend, mb, incrementals, rng);
+    const checkpoint::RestoredState written =
+        build_chain(**file_backend, mb, incrementals, rng);
     const std::string chain_label = "1+" + std::to_string(incrementals);
-
-    auto reference =
-        checkpoint::restore_chain_serial(**file_backend, 0);
-    if (!reference.is_ok()) std::exit(1);
 
     double read_secs = 0;
     for (bool map_reads : {false, true}) {
@@ -253,7 +244,7 @@ int main(int argc, char** argv) {
                                  auto s = checkpoint::restore_chain(
                                      **file_backend, 0, opts);
                                  if (!s.is_ok()) std::exit(1);
-                                 if (!states_identical(*reference, *s)) {
+                                 if (!states_identical(written, *s)) {
                                    std::cerr << "BYTE IDENTITY FAILED: "
                                                 "file-backed map_reads="
                                              << map_reads << "\n";
@@ -278,7 +269,7 @@ int main(int argc, char** argv) {
   }
   // Segment-backed arms: the same shape of chain in the log-structured
   // store, decoded through read_at and through per-object mmap windows.
-  // Byte identity against the serial restorer is asserted as above.
+  // Byte identity with the written state is asserted as above.
   {
     const int incrementals = args.quick ? 3 : 7;
     const std::string dir = "ablation_restore_segchain";
@@ -289,11 +280,9 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    build_chain(**seg_backend, mb, incrementals, rng);
+    const checkpoint::RestoredState written =
+        build_chain(**seg_backend, mb, incrementals, rng);
     const std::string chain_label = "1+" + std::to_string(incrementals);
-
-    auto reference = checkpoint::restore_chain_serial(**seg_backend, 0);
-    if (!reference.is_ok()) std::exit(1);
 
     double read_secs = 0;
     for (bool map_reads : {false, true}) {
@@ -309,7 +298,7 @@ int main(int argc, char** argv) {
                                  auto s = checkpoint::restore_chain(
                                      **seg_backend, 0, opts);
                                  if (!s.is_ok()) std::exit(1);
-                                 if (!states_identical(*reference, *s)) {
+                                 if (!states_identical(written, *s)) {
                                    std::cerr << "BYTE IDENTITY FAILED: "
                                                 "segment-backed map_reads="
                                              << map_reads << "\n";
@@ -337,7 +326,7 @@ int main(int argc, char** argv) {
   finish(table, "ablation_restore.csv");
   bench_json.write(args);
   std::cout << "the plan decodes each surviving page once (Skipped = "
-               "superseded writes the serial path decoded for nothing); "
+               "superseded writes, CRC-checked but never decoded); "
                "shards parallelize the remaining decode work\n";
   if (hw < 2) {
     std::cout << "note: only " << hw << " hardware thread available -- "

@@ -1,6 +1,7 @@
 #include "checkpoint/checkpointer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -72,6 +73,27 @@ std::string checkpoint_key(std::uint32_t rank, std::uint64_t sequence) {
   std::snprintf(buf, sizeof buf, "rank%u/ckpt-%020llu", rank,
                 static_cast<unsigned long long>(sequence));
   return buf;
+}
+
+std::optional<ParsedKey> parse_checkpoint_key(std::string_view key) {
+  // Every character of `digits` must be part of the number.
+  auto decimal = [](std::string_view digits, auto* out) {
+    const char* end = digits.data() + digits.size();
+    auto [p, ec] = std::from_chars(digits.data(), end, *out);
+    return ec == std::errc() && p == end;
+  };
+  const std::size_t slash = key.find('/');
+  ParsedKey out;
+  if (!key.starts_with("rank") || slash == std::string_view::npos ||
+      !decimal(key.substr(4, slash - 4), &out.rank)) {
+    return std::nullopt;
+  }
+  const std::string_view rest = key.substr(slash + 1);
+  std::uint64_t sequence = 0;
+  if (rest.starts_with("ckpt-") && decimal(rest.substr(5), &sequence)) {
+    out.sequence = sequence;
+  }
+  return out;
 }
 
 Checkpointer::Checkpointer(region::AddressSpace& space,

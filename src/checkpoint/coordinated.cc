@@ -1,12 +1,15 @@
 #include "checkpoint/coordinated.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
 namespace ickpt::checkpoint {
 
 namespace {
+constexpr std::string_view kCommitPrefix = "commit/";
+
 std::string commit_key(std::uint64_t sequence) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "commit/%012llu",
@@ -14,6 +17,16 @@ std::string commit_key(std::uint64_t sequence) {
   return buf;
 }
 }  // namespace
+
+std::optional<std::uint64_t> parse_commit_key(std::string_view key) {
+  if (!key.starts_with(kCommitPrefix)) return std::nullopt;
+  key.remove_prefix(kCommitPrefix.size());
+  const char* end = key.data() + key.size();
+  std::uint64_t sequence = 0;
+  auto [p, ec] = std::from_chars(key.data(), end, sequence);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return sequence;
+}
 
 Result<std::uint64_t> CoordinatedCheckpointer::checkpoint(
     mpi::Comm& comm, Checkpointer& local,
@@ -56,11 +69,8 @@ Result<std::uint64_t> CoordinatedCheckpointer::last_committed(
   std::uint64_t best = 0;
   bool found = false;
   for (const auto& k : *keys) {
-    if (k.rfind("commit/", 0) != 0) continue;
-    std::uint64_t seq = 0;
-    if (std::sscanf(k.c_str(), "commit/%llu",
-                    reinterpret_cast<unsigned long long*>(&seq)) == 1) {
-      best = std::max(best, seq);
+    if (auto seq = parse_commit_key(k)) {
+      best = std::max(best, *seq);
       found = true;
     }
   }

@@ -10,11 +10,17 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "checkpoint/checkpointer.h"
 #include "minimpi/comm.h"
 
 namespace ickpt::checkpoint {
+
+/// Sequence named by a commit-marker key "commit/<digits>" (any
+/// zero-pad width); nullopt for any other key.
+std::optional<std::uint64_t> parse_commit_key(std::string_view key);
 
 class CoordinatedCheckpointer {
  public:

@@ -20,7 +20,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+
+#include "common/status.h"
+#include "storage/backend.h"
 
 namespace ickpt::checkpoint {
 
@@ -83,6 +88,26 @@ static_assert(sizeof(FileTrailer) == 8);
 /// Storage key for rank r, sequence s: "rank<r>/ckpt-<s, zero padded>".
 /// Defined here so writer, restorer and GC agree on the layout.
 std::string checkpoint_key(std::uint32_t rank, std::uint64_t sequence);
+
+/// A key in rank r's namespace, as read back by parse_checkpoint_key.
+struct ParsedKey {
+  std::uint32_t rank = 0;
+  std::optional<std::uint64_t> sequence;  ///< set for "rank<r>/ckpt-<s>"
+};
+
+/// Inverse of checkpoint_key, accepting any zero-pad width: nullopt
+/// unless `key` starts with "rank<digits>/"; `sequence` stays unset
+/// when the rest is not "ckpt-<digits>".  Lets readers place an object
+/// in its chain even when its header is unreadable.
+std::optional<ParsedKey> parse_checkpoint_key(std::string_view key);
+
+/// Read and validate just the FileHeader of `key` (magic, version,
+/// page size, kind, block count) without touching the rest of the
+/// object; `object_bytes`, when given, receives the object's size.
+/// The one header reader shared by restore, fsck and repair.
+Result<FileHeader> peek_header(storage::StorageBackend& storage,
+                               const std::string& key,
+                               std::uint64_t* object_bytes = nullptr);
 
 /// Pages per encode/decode shard for `threads` workers: enough shards
 /// to balance them, large enough to amortize dispatch, bounded so one

@@ -1,12 +1,11 @@
 #include "checkpoint/inspect.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <optional>
 
+#include "checkpoint/coordinated.h"
 #include "checkpoint/format.h"
 #include "checkpoint/restore.h"
-#include "common/crc32.h"
-#include "common/io_util.h"
 #include "obs/trace.h"
 
 namespace ickpt::checkpoint {
@@ -25,71 +24,34 @@ struct FsckTrace {
   }
 };
 
-/// Lightweight structural parse of one object: header fields only,
-/// with full-file CRC validation via read_checkpoint_file.
-/// Read exactly `len` bytes.  Streaming backends may legitimately
-/// return short counts, so a single read() is not enough.
-Status read_exact(storage::Reader& in, void* out, std::size_t len) {
-  auto got = ioutil::read_full(
-      [&in](std::span<std::byte> span) { return in.read(span); },
-      {static_cast<std::byte*>(out), len});
-  if (!got.is_ok()) return got.status();
-  if (*got < len) return corruption("unexpected end of object");
-  return Status::ok();
-}
-
+/// One chain element: header fields from peek_header, then a full
+/// structural, decode and CRC check through read_checkpoint_file.
 Result<ChainElement> inspect_object(storage::StorageBackend& storage,
                                     const std::string& key) {
-  auto reader = storage.open(key);
-  if (!reader.is_ok()) return reader.status();
-  FileHeader header;
-  if (!read_exact(**reader, &header, sizeof header).is_ok() ||
-      header.magic != kMagic) {
-    return corruption("bad header in " + key);
-  }
-  // Deep validation (structure + CRC) via the restore parser.
+  ChainElement e;
+  auto header = peek_header(storage, key, &e.file_bytes);
+  if (!header.is_ok()) return header.status();
   auto state = read_checkpoint_file(storage, key);
   if (!state.is_ok()) return state.status();
 
-  ChainElement e;
-  e.sequence = header.sequence;
-  e.parent_sequence = header.parent_sequence;
-  e.full = header.kind == static_cast<std::uint16_t>(Kind::kFull);
-  e.file_bytes = (*reader)->size();
-  e.block_count = header.block_count;
-  e.virtual_time = header.virtual_time;
+  e.sequence = header->sequence;
+  e.parent_sequence = header->parent_sequence;
+  e.full = header->kind == static_cast<std::uint16_t>(Kind::kFull);
+  e.block_count = header->block_count;
+  e.virtual_time = header->virtual_time;
   e.key = key;
   return e;
 }
 
-bool parse_rank_key(const std::string& key, std::uint32_t* rank) {
-  unsigned r = 0;
-  if (std::sscanf(key.c_str(), "rank%u/", &r) == 1) {
-    *rank = r;
-    return true;
-  }
-  return false;
-}
-
 /// Sequence of an object for repair placement: the header if readable
 /// (any zero-pad may appear in keys), the key otherwise.
-bool placement_sequence(storage::StorageBackend& storage,
-                        const std::string& key, std::uint64_t* seq) {
-  auto reader = storage.open(key);
-  if (reader.is_ok()) {
-    FileHeader header;
-    if (read_exact(**reader, &header, sizeof header).is_ok() &&
-        header.magic == kMagic) {
-      *seq = header.sequence;
-      return true;
-    }
+std::optional<std::uint64_t> placement_sequence(
+    storage::StorageBackend& storage, const std::string& key) {
+  if (auto header = peek_header(storage, key); header.is_ok()) {
+    return header->sequence;
   }
-  unsigned long long r = 0, s = 0;
-  if (std::sscanf(key.c_str(), "rank%llu/ckpt-%llu", &r, &s) == 2) {
-    *seq = s;
-    return true;
-  }
-  return false;
+  auto parsed = parse_checkpoint_key(key);
+  return parsed ? parsed->sequence : std::nullopt;
 }
 
 /// Move an object's bytes under "quarantine/<key>" and remove the
@@ -202,16 +164,14 @@ Result<StoreReport> inspect_store(storage::StorageBackend& storage) {
   StoreReport report;
   std::vector<std::uint32_t> ranks;
   for (const auto& key : *keys) {
-    std::uint32_t rank = 0;
-    if (parse_rank_key(key, &rank)) {
-      if (std::find(ranks.begin(), ranks.end(), rank) == ranks.end()) {
-        ranks.push_back(rank);
+    if (auto parsed = parse_checkpoint_key(key)) {
+      if (std::find(ranks.begin(), ranks.end(), parsed->rank) ==
+          ranks.end()) {
+        ranks.push_back(parsed->rank);
       }
     } else if (key.rfind("commit/", 0) == 0) {
-      std::uint64_t seq = 0;
-      if (std::sscanf(key.c_str(), "commit/%llu",
-                      reinterpret_cast<unsigned long long*>(&seq)) == 1) {
-        report.commit_markers.push_back(seq);
+      if (auto seq = parse_commit_key(key)) {
+        report.commit_markers.push_back(*seq);
       } else {
         report.problems.push_back("unparseable commit marker: " + key);
       }
@@ -251,8 +211,9 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
   RepairReport report;
   std::map<std::uint32_t, std::vector<std::string>> by_rank;
   for (const auto& key : *keys) {
-    std::uint32_t rank = 0;
-    if (parse_rank_key(key, &rank)) by_rank[rank].push_back(key);
+    if (auto parsed = parse_checkpoint_key(key)) {
+      by_rank[parsed->rank].push_back(key);
+    }
   }
 
   auto drop = [&](const std::string& key,
@@ -280,13 +241,13 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
     report.recovered_upto[rank] = upto;
 
     for (const auto& key : rank_keys) {
-      std::uint64_t seq = 0;
-      if (!placement_sequence(storage, key, &seq)) {
+      const auto seq = placement_sequence(storage, key);
+      if (!seq) {
         ICKPT_RETURN_IF_ERROR(
             drop(key, "orphan: unreadable header and unparseable key"));
         continue;
       }
-      if (seq > upto) {
+      if (*seq > upto) {
         ICKPT_RETURN_IF_ERROR(
             drop(key, "beyond recovered sequence " + std::to_string(upto)));
         continue;
@@ -305,14 +266,14 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
   // after truncation such a promise may no longer hold.
   for (const auto& key : *keys) {
     if (key.rfind("commit/", 0) != 0) continue;
-    unsigned long long seq = 0;
-    if (std::sscanf(key.c_str(), "commit/%llu", &seq) != 1) {
+    const auto seq = parse_commit_key(key);
+    if (!seq) {
       ICKPT_RETURN_IF_ERROR(drop(key, "unparseable commit marker"));
       continue;
     }
     bool stale = false;
     for (const auto& [rank, upto] : report.recovered_upto) {
-      if (seq > upto) {
+      if (*seq > upto) {
         stale = true;
         break;
       }

@@ -1,10 +1,7 @@
 #include "checkpoint/restore.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <future>
-#include <memory>
 #include <set>
 #include <string_view>
 
@@ -84,38 +81,6 @@ Status read_exact(storage::Reader& in, std::span<std::byte> out,
       truncated);
 }
 
-/// Buffered sequential reader with CRC tracking and strict bounds.
-class CrcReader {
- public:
-  explicit CrcReader(storage::Reader& in) : in_(in) {}
-
-  Status read_exact(void* out, std::size_t len) {
-    ICKPT_RETURN_IF_ERROR(checkpoint::read_exact(
-        in_, {static_cast<std::byte*>(out), len},
-        "truncated checkpoint file"));
-    crc_.update(out, len);
-    consumed_ += len;
-    return Status::ok();
-  }
-
-  /// Read without CRC accounting (for the trailer itself).
-  Status read_raw(void* out, std::size_t len) {
-    ICKPT_RETURN_IF_ERROR(checkpoint::read_exact(
-        in_, {static_cast<std::byte*>(out), len},
-        "truncated checkpoint trailer"));
-    consumed_ += len;
-    return Status::ok();
-  }
-
-  std::uint32_t crc() const noexcept { return crc_.value(); }
-  std::uint64_t consumed() const noexcept { return consumed_; }
-
- private:
-  storage::Reader& in_;
-  Crc32 crc_;
-  std::uint64_t consumed_ = 0;
-};
-
 Status validate_header(const FileHeader& h, const std::string& key) {
   if (h.magic != kMagic) return corruption("bad magic in " + key);
   if (h.version != kFormatVersion) {
@@ -132,88 +97,6 @@ Status validate_header(const FileHeader& h, const std::string& key) {
     return corruption("implausible block count in " + key);
   }
   return Status::ok();
-}
-
-struct ParsedCheckpoint {
-  FileHeader header;
-  RestoredState state;  ///< blocks with only *this file's* runs applied
-  /// For incrementals: per block, the runs present (page spans).
-  std::map<std::uint32_t, std::vector<RunHeader>> runs;
-};
-
-Result<ParsedCheckpoint> parse(storage::StorageBackend& storage,
-                               const std::string& key) {
-  auto reader = storage.open(key);
-  if (!reader.is_ok()) return reader.status();
-  CrcReader in(**reader);
-
-  ParsedCheckpoint out;
-  FileHeader& h = out.header;
-  ICKPT_RETURN_IF_ERROR(in.read_exact(&h, sizeof h));
-  ICKPT_RETURN_IF_ERROR(validate_header(h, key));
-
-  out.state.sequence = h.sequence;
-  out.state.virtual_time = h.virtual_time;
-
-  const std::size_t psize = h.page_size;
-  for (std::uint32_t b = 0; b < h.block_count; ++b) {
-    BlockHeader bh;
-    ICKPT_RETURN_IF_ERROR(in.read_exact(&bh, sizeof bh));
-    if (bh.name_len > 4096) return corruption("block name too long in " + key);
-    if (bh.bytes > (std::uint64_t{1} << 40)) {
-      return corruption("implausible block size in " + key);
-    }
-    std::string name(bh.name_len, '\0');
-    ICKPT_RETURN_IF_ERROR(in.read_exact(name.data(), name.size()));
-
-    RestoredBlock block;
-    block.id = bh.block_id;
-    block.name = std::move(name);
-    block.kind = static_cast<region::AreaKind>(bh.kind);
-    const std::size_t rounded = page_ceil(bh.bytes, psize);
-    block.data.assign(rounded, std::byte{0});
-    const std::size_t block_pages = rounded / psize;
-
-    auto& run_list = out.runs[bh.block_id];
-    std::vector<std::byte> payload;
-    for (std::uint32_t r = 0; r < bh.run_count; ++r) {
-      RunHeader run;
-      ICKPT_RETURN_IF_ERROR(in.read_exact(&run, sizeof run));
-      if (std::size_t{run.first_page} + run.page_count > block_pages) {
-        return corruption("run out of block bounds in " + key);
-      }
-      for (std::uint32_t p = 0; p < run.page_count; ++p) {
-        PageRecord rec;
-        ICKPT_RETURN_IF_ERROR(in.read_exact(&rec, sizeof rec));
-        if (rec.payload_len > 2 * psize) {
-          return corruption("implausible page payload in " + key);
-        }
-        payload.resize(rec.payload_len);
-        if (!payload.empty()) {
-          ICKPT_RETURN_IF_ERROR(
-              in.read_exact(payload.data(), payload.size()));
-        }
-        std::span<std::byte> page_out{
-            block.data.data() + (std::size_t{run.first_page} + p) * psize,
-            psize};
-        ICKPT_RETURN_IF_ERROR(decode_page(
-            static_cast<PageEncoding>(rec.encoding), payload, page_out));
-      }
-      run_list.push_back(run);
-    }
-    out.state.blocks.emplace(block.id, std::move(block));
-  }
-
-  std::uint32_t computed_crc = in.crc();
-  FileTrailer trailer;
-  ICKPT_RETURN_IF_ERROR(in.read_raw(&trailer, sizeof trailer));
-  if (trailer.end_magic != kEndMagic) {
-    return corruption("bad end magic in " + key);
-  }
-  if (trailer.crc32 != computed_crc) {
-    return corruption("crc mismatch in " + key);
-  }
-  return out;
 }
 
 // ===================================================================
@@ -247,7 +130,7 @@ struct Segment {
 };
 
 /// Block manifest entry as first seen (restore keeps the oldest live
-/// object's name/kind for a block, like the serial overlay did).
+/// object's name/kind for a block).
 struct BlockMeta {
   std::uint32_t id = 0;
   std::string name;
@@ -359,20 +242,6 @@ class ObjectScanner {
   std::uint64_t piece_off_ = 0;
 };
 
-/// Read just the FileHeader (read-exact loop: streaming backends may
-/// return short counts), without touching the rest of the object.
-Result<FileHeader> peek_header(storage::StorageBackend& storage,
-                               const std::string& key) {
-  auto reader = storage.open(key);
-  if (!reader.is_ok()) return reader.status();
-  FileHeader h;
-  ICKPT_RETURN_IF_ERROR(read_exact(
-      **reader, {reinterpret_cast<std::byte*>(&h), sizeof h},
-      "bad header in " + key));
-  ICKPT_RETURN_IF_ERROR(validate_header(h, key));
-  return h;
-}
-
 /// Structural scan of one object: headers, names, run tables and page
 /// records are read (and CRC'd into structural segments); page
 /// payloads are skipped.  No payload is decoded.
@@ -451,17 +320,6 @@ Result<ObjectPlan> scan_object(storage::StorageBackend& storage,
   return out;
 }
 
-/// Parse "rank<r>/ckpt-<seq>" (any zero-pad width).  Lets the planner
-/// place an object in the chain even when its header is unreadable.
-bool parse_key_sequence(const std::string& key, std::uint64_t* seq) {
-  unsigned long long r = 0, s = 0;
-  if (std::sscanf(key.c_str(), "rank%llu/ckpt-%llu", &r, &s) == 2) {
-    *seq = s;
-    return true;
-  }
-  return false;
-}
-
 struct Candidate {
   std::string key;
   std::uint64_t sequence = 0;
@@ -520,9 +378,8 @@ Status read_range(storage::Reader& in, std::uint64_t offset,
 void run_shard(storage::StorageBackend& storage,
                const std::vector<ObjectPlan>& objs,
                const std::map<std::uint32_t, std::byte*>& out_base,
-               bool map_reads, DecodeShard& s) {
-  obs::TraceSpan span(RestoreMetrics::get().t_decode_shard, s.page_count,
-                      s.length);
+               bool map_reads, std::uint16_t span_name, DecodeShard& s) {
+  obs::TraceSpan span(span_name, s.page_count, s.length);
   const ObjectPlan& obj = objs[s.obj_idx];
   auto reader = storage.open(obj.key);
   if (!reader.is_ok()) {
@@ -581,6 +438,102 @@ void run_shard(storage::StorageBackend& storage,
   }
 }
 
+/// Cut every page segment into decode shards of at most
+/// pick_shard_pages(total pages, threads) pages.  Shards come out in
+/// object order, then file order, which is the order stitch folds.
+std::vector<DecodeShard> make_shards(const std::vector<ObjectPlan>& objs,
+                                     int threads) {
+  std::uint64_t total_pages = 0;
+  for (const auto& obj : objs) total_pages += obj.pages.size();
+  const std::uint32_t shard_pages =
+      pick_shard_pages(total_pages, std::max(1, threads));
+  std::vector<DecodeShard> shards;
+  for (std::size_t o = 0; o < objs.size(); ++o) {
+    const ObjectPlan& obj = objs[o];
+    for (const Segment& seg : obj.segments) {
+      if (seg.structural) continue;
+      for (std::size_t off = 0; off < seg.page_count; off += shard_pages) {
+        DecodeShard s;
+        s.obj_idx = o;
+        s.first_page = seg.first_page + off;
+        s.page_count = static_cast<std::uint32_t>(
+            std::min<std::size_t>(shard_pages, seg.page_count - off));
+        s.offset = obj.pages[s.first_page].rec_offset;
+        const std::size_t last = s.first_page + s.page_count - 1;
+        s.length = obj.pages[last].rec_offset + sizeof(PageRecord) +
+                   obj.pages[last].payload_len - s.offset;
+        shards.push_back(s);
+      }
+    }
+  }
+  return shards;
+}
+
+/// Decode every shard, on a pool of `threads` workers or inline.
+/// `span_name` labels each shard's trace span (0: no span).
+void run_shards(storage::StorageBackend& storage,
+                const std::vector<ObjectPlan>& objs,
+                const std::map<std::uint32_t, std::byte*>& out_base,
+                bool map_reads, int threads, std::uint16_t span_name,
+                std::vector<DecodeShard>& shards) {
+  auto decode = [&](DecodeShard& s) {
+    run_shard(storage, objs, out_base, map_reads, span_name, s);
+  };
+  if (threads > 1 && shards.size() > 1) {
+    ThreadPool pool(static_cast<std::size_t>(threads));
+    for (DecodeShard& s : shards) pool.submit([&decode, &s] { decode(s); });
+    pool.wait_idle();
+  } else {
+    for (DecodeShard& s : shards) decode(s);
+  }
+}
+
+/// Per-shard counts summed by a successful stitch.
+struct ShardTotals {
+  std::uint64_t decoded = 0;
+  std::uint64_t skipped = 0;
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_mapped = 0;
+};
+
+/// Surface shard failures (oldest object first, so a tolerant retry
+/// truncates as little as possible), then fold each object's segment
+/// CRCs in file order and compare against its trailer.  On failure
+/// *bad_obj is the index of the object at fault.
+Status stitch(const std::vector<ObjectPlan>& objs,
+              const std::vector<DecodeShard>& shards, ShardTotals* totals,
+              std::size_t* bad_obj) {
+  std::size_t next = 0;  // first shard of the current object
+  for (std::size_t o = 0; o < objs.size(); ++o) {
+    *bad_obj = o;
+    const std::size_t first = next;
+    for (; next < shards.size() && shards[next].obj_idx == o; ++next) {
+      const DecodeShard& s = shards[next];
+      if (!s.status.is_ok()) return s.status;
+      totals->decoded += s.decoded;
+      totals->skipped += s.skipped;
+      totals->bytes_read += s.length;
+      if (s.mapped) totals->bytes_mapped += s.length;
+    }
+    Crc32 fold;
+    std::size_t si = first;
+    for (const Segment& seg : objs[o].segments) {
+      if (seg.structural) {
+        fold.combine(seg.crc, seg.length);
+        continue;
+      }
+      for (std::uint64_t covered = 0; covered < seg.length; ++si) {
+        fold.combine(shards[si].crc, shards[si].length);
+        covered += shards[si].length;
+      }
+    }
+    if (fold.value() != objs[o].trailer_crc) {
+      return corruption("crc mismatch in " + objs[o].key);
+    }
+  }
+  return Status::ok();
+}
+
 /// One strict plan-then-decode attempt at `upto`.  In tolerant mode
 /// (`truncate_tail`) chain damage detectable from headers alone is
 /// healed by cutting the candidate list; damage found later (corrupt
@@ -617,17 +570,17 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
       c.header_ok = true;
       c.header = *h;
       c.sequence = h->sequence;
-    } else if (!parse_key_sequence(k, &c.sequence)) {
+    } else if (auto parsed = parse_checkpoint_key(k);
+               parsed && parsed->sequence) {
+      c.sequence = *parsed->sequence;
+    } else {
       // Unreadable header and unparseable key: the object cannot even
       // be placed in the chain.
       if (!truncate_tail) return h.status();
       continue;  // orphan; fsck --repair quarantines these
     }
     if (c.sequence > upto) continue;  // peeked only, never fully parsed
-    if (!c.header_ok && !truncate_tail) {
-      auto again = peek_header(storage, k);
-      return again.status();
-    }
+    if (!c.header_ok && !truncate_tail) return h.status();
     cands.push_back(std::move(c));
   }
   if (cands.empty()) {
@@ -783,104 +736,34 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     out_base[id] = it->second.data.data();
   }
 
-  // ---- Shard every page segment for the decode pool.
   std::uint64_t total_pages = 0;
   for (const auto& obj : objs) total_pages += obj.pages.size();
-  const std::uint32_t shard_pages =
-      pick_shard_pages(total_pages, std::max(1, threads));
-  std::vector<DecodeShard> shards;
-  // Per object, the indices of its shards in file order (for the fold).
-  std::vector<std::vector<std::size_t>> object_shards(objs.size());
-  for (std::size_t o = 0; o < objs.size(); ++o) {
-    const ObjectPlan& obj = objs[o];
-    for (const Segment& seg : obj.segments) {
-      if (seg.structural) continue;
-      for (std::size_t off = 0; off < seg.page_count; off += shard_pages) {
-        DecodeShard s;
-        s.obj_idx = o;
-        s.first_page = seg.first_page + off;
-        s.page_count = static_cast<std::uint32_t>(
-            std::min<std::size_t>(shard_pages, seg.page_count - off));
-        s.offset = obj.pages[s.first_page].rec_offset;
-        const std::size_t last = s.first_page + s.page_count - 1;
-        s.length = obj.pages[last].rec_offset + sizeof(PageRecord) +
-                   obj.pages[last].payload_len - s.offset;
-        object_shards[o].push_back(shards.size());
-        shards.push_back(s);
-      }
-    }
-  }
-
+  std::vector<DecodeShard> shards = make_shards(objs, threads);
   plan_timer.stop();
   plan_span.end(total_pages, shards.size());
+
   obs::ScopedTimer decode_timer(metrics.decode_ns);
-
-  if (threads > 1 && shards.size() > 1) {
-    ThreadPool pool(static_cast<std::size_t>(threads));
-    for (DecodeShard& s : shards) {
-      pool.submit([&storage, &objs, &out_base, map_reads, &s] {
-        run_shard(storage, objs, out_base, map_reads, s);
-      });
-    }
-    pool.wait_idle();
-  } else {
-    for (DecodeShard& s : shards) {
-      run_shard(storage, objs, out_base, map_reads, s);
-    }
-  }
-
+  run_shards(storage, objs, out_base, map_reads, threads,
+             metrics.t_decode_shard, shards);
   decode_timer.stop();
+
   obs::ScopedTimer stitch_timer(metrics.stitch_ns);
   obs::TraceSpan stitch_span(metrics.t_stitch);
-
-  // ---- Stitch: surface shard failures (oldest object first, so a
-  // tolerant retry truncates as little as possible), then fold segment
-  // CRCs in file order and compare against each trailer.
-  std::uint64_t pages_decoded = 0;
-  std::uint64_t pages_skipped = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_mapped = 0;
-  for (std::size_t o = 0; o < objs.size(); ++o) {
-    for (std::size_t si : object_shards[o]) {
-      const DecodeShard& s = shards[si];
-      if (!s.status.is_ok()) {
-        *failed_seq = objs[o].header.sequence;
-        *have_failed_seq = true;
-        return s.status;
-      }
-      pages_decoded += s.decoded;
-      pages_skipped += s.skipped;
-      bytes_read += s.length;
-      if (s.mapped) bytes_mapped += s.length;
-    }
-    Crc32 fold;
-    std::size_t next_shard = 0;
-    for (const Segment& seg : objs[o].segments) {
-      if (seg.structural) {
-        fold.combine(seg.crc, seg.length);
-        continue;
-      }
-      std::uint64_t covered = 0;
-      while (covered < seg.length) {
-        const DecodeShard& s = shards[object_shards[o][next_shard++]];
-        fold.combine(s.crc, s.length);
-        covered += s.length;
-      }
-    }
-    if (fold.value() != objs[o].trailer_crc) {
-      *failed_seq = objs[o].header.sequence;
-      *have_failed_seq = true;
-      return corruption("crc mismatch in " + objs[o].key);
-    }
+  ShardTotals totals;
+  std::size_t bad_obj = 0;
+  if (Status st = stitch(objs, shards, &totals, &bad_obj); !st.is_ok()) {
+    *failed_seq = objs[bad_obj].header.sequence;
+    *have_failed_seq = true;
+    return st;
   }
   stitch_timer.stop();
 
   metrics.chains.inc();
   metrics.objects.inc(objs.size());
-  metrics.pages_decoded.inc(pages_decoded);
-  metrics.pages_skipped.inc(pages_skipped);
-  metrics.bytes_read.inc(bytes_read);
-  metrics.bytes_mapped.inc(bytes_mapped);
+  metrics.pages_decoded.inc(totals.decoded);
+  metrics.pages_skipped.inc(totals.skipped);
+  metrics.bytes_read.inc(totals.bytes_read);
+  metrics.bytes_mapped.inc(totals.bytes_mapped);
   return state;
 }
 
@@ -896,11 +779,63 @@ Status note_restore_failure(const Status& st, std::uint64_t failed_seq) {
 
 }  // namespace
 
+Result<FileHeader> peek_header(storage::StorageBackend& storage,
+                               const std::string& key,
+                               std::uint64_t* object_bytes) {
+  auto reader = storage.open(key);
+  if (!reader.is_ok()) return reader.status();
+  if (object_bytes != nullptr) *object_bytes = (*reader)->size();
+  FileHeader h;
+  ICKPT_RETURN_IF_ERROR(read_exact(
+      **reader, {reinterpret_cast<std::byte*>(&h), sizeof h},
+      "bad header in " + key));
+  ICKPT_RETURN_IF_ERROR(validate_header(h, key));
+  return h;
+}
+
 Result<RestoredState> read_checkpoint_file(storage::StorageBackend& storage,
                                            const std::string& key) {
-  auto parsed = parse(storage, key);
-  if (!parsed.is_ok()) return parsed.status();
-  return std::move(parsed->state);
+  auto plan = scan_object(storage, key);
+  if (!plan.is_ok()) return plan.status();
+  std::vector<ObjectPlan> objs;
+  objs.push_back(std::move(plan.value()));
+  ObjectPlan& obj = objs.front();
+
+  RestoredState state;
+  state.sequence = obj.header.sequence;
+  state.virtual_time = obj.header.virtual_time;
+  std::map<std::uint32_t, std::byte*> out_base;
+  for (BlockMeta& m : obj.manifest) {
+    auto [it, fresh] = state.blocks.try_emplace(m.id);
+    RestoredBlock& b = it->second;
+    if (!fresh) {
+      if (b.data.size() != m.rounded) {
+        return corruption("block " + std::to_string(m.id) +
+                          " listed twice with different sizes in " + key);
+      }
+      continue;
+    }
+    b.id = m.id;
+    b.name = std::move(m.name);
+    b.kind = m.kind;
+    b.data.assign(m.rounded, std::byte{0});
+    out_base[m.id] = b.data.data();
+  }
+  // Decode every page, not just the newest write of each, so this
+  // per-object check is as strong as a full parse.  No page addresses
+  // past its buffer: scan_object bounds each run by its own manifest
+  // entry, and entries sharing an id share a size (checked above).
+  for (PageEntry& pe : obj.pages) pe.decode = true;
+
+  // One thread and no restore.* metrics or spans: fsck reads every
+  // object this way, and its reads are not restores.
+  std::vector<DecodeShard> shards = make_shards(objs, 1);
+  run_shards(storage, objs, out_base, /*map_reads=*/true, 1,
+             /*span_name=*/0, shards);
+  ShardTotals totals;
+  std::size_t bad_obj = 0;
+  ICKPT_RETURN_IF_ERROR(stitch(objs, shards, &totals, &bad_obj));
+  return state;
 }
 
 Result<RestoredState> restore_chain(storage::StorageBackend& storage,
@@ -934,103 +869,6 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
   RestoreOptions options;
   options.upto = upto;
   return restore_chain(storage, rank, options);
-}
-
-Result<RestoredState> restore_chain_serial(storage::StorageBackend& storage,
-                                           std::uint32_t rank,
-                                           std::uint64_t upto) {
-  auto keys = storage.list();
-  if (!keys.is_ok()) return keys.status();
-  const std::string prefix = "rank" + std::to_string(rank) + "/";
-  std::vector<std::string> chain_keys;
-  for (const auto& k : *keys) {
-    if (k.rfind(prefix, 0) == 0) chain_keys.push_back(k);
-  }
-  std::sort(chain_keys.begin(), chain_keys.end());
-  if (chain_keys.empty()) {
-    return not_found("no checkpoints for rank " + std::to_string(rank));
-  }
-
-  // Parse everything, then walk backwards to the newest full
-  // checkpoint with sequence <= upto.
-  std::ptrdiff_t start = -1;
-  std::vector<ParsedCheckpoint> parsed_files;
-  parsed_files.reserve(chain_keys.size());
-  for (const auto& k : chain_keys) {
-    auto p = parse(storage, k);
-    if (!p.is_ok()) return p.status();
-    if (p->header.sequence > upto) continue;
-    parsed_files.push_back(std::move(p.value()));
-  }
-  std::sort(parsed_files.begin(), parsed_files.end(),
-            [](const ParsedCheckpoint& a, const ParsedCheckpoint& b) {
-              return a.header.sequence < b.header.sequence;
-            });
-  if (parsed_files.empty()) {
-    return not_found("no checkpoint at or before requested sequence");
-  }
-  for (std::ptrdiff_t i =
-           static_cast<std::ptrdiff_t>(parsed_files.size()) - 1;
-       i >= 0; --i) {
-    if (parsed_files[static_cast<std::size_t>(i)].header.kind ==
-        static_cast<std::uint16_t>(Kind::kFull)) {
-      start = i;
-      break;
-    }
-  }
-  if (start < 0) {
-    return corruption("chain has no full checkpoint to seed recovery");
-  }
-
-  // Seed with the full checkpoint, then overlay each incremental.
-  RestoredState state =
-      std::move(parsed_files[static_cast<std::size_t>(start)].state);
-  std::uint64_t prev_seq =
-      parsed_files[static_cast<std::size_t>(start)].header.sequence;
-  for (std::size_t i = static_cast<std::size_t>(start) + 1;
-       i < parsed_files.size(); ++i) {
-    ParsedCheckpoint& inc = parsed_files[i];
-    // A gap in the chain means lost deltas: refuse to fabricate state.
-    if (inc.header.parent_sequence != prev_seq) {
-      return corruption("chain gap: sequence " +
-                        std::to_string(inc.header.sequence) +
-                        " expects parent " +
-                        std::to_string(inc.header.parent_sequence) +
-                        " but " + std::to_string(prev_seq) +
-                        " is the newest applied");
-    }
-    prev_seq = inc.header.sequence;
-    // Memory exclusion: drop blocks absent from the newer manifest.
-    for (auto it = state.blocks.begin(); it != state.blocks.end();) {
-      if (inc.state.blocks.find(it->first) == inc.state.blocks.end()) {
-        it = state.blocks.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    const std::size_t psize = inc.header.page_size;
-    for (auto& [id, newer] : inc.state.blocks) {
-      auto it = state.blocks.find(id);
-      if (it == state.blocks.end()) {
-        // New block: starts zero-filled with this file's runs applied.
-        state.blocks.emplace(id, std::move(newer));
-        continue;
-      }
-      RestoredBlock& base = it->second;
-      if (base.data.size() != newer.data.size()) {
-        return corruption("block " + std::to_string(id) +
-                          " changed size mid-chain");
-      }
-      for (const RunHeader& run : inc.runs[id]) {
-        std::size_t off = std::size_t{run.first_page} * psize;
-        std::size_t len = std::size_t{run.page_count} * psize;
-        std::memcpy(base.data.data() + off, newer.data.data() + off, len);
-      }
-    }
-    state.sequence = inc.state.sequence;
-    state.virtual_time = inc.state.virtual_time;
-  }
-  return state;
 }
 
 Result<std::map<std::uint32_t, region::BlockId>> materialize(

@@ -15,8 +15,10 @@
 //                      O(footprint) instead of O(chain x footprint).
 // Shards hash the byte ranges they read; the stitch step folds shard
 // CRCs with the manifest-scan CRCs via crc32_combine and compares the
-// result against each object's trailer, so integrity coverage equals
-// the serial parser's.
+// result against each object's trailer, so every byte from header to
+// last payload is covered, decoded or not.  The same scan, shard and
+// stitch steps read a single object for read_checkpoint_file (fsck),
+// so the format has one walker.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +65,12 @@ struct RestoreOptions {
   bool map_reads = true;
 };
 
-/// Parse and validate one checkpoint object (header, structure, CRC).
-/// Returns kCorruption on any integrity violation.
+/// Read one checkpoint object on its own: each block it lists comes
+/// back zero-filled except for the pages this object carries, with the
+/// object's own sequence and virtual time.  Every page is decoded and
+/// the whole object CRC-checked; any integrity violation (including a
+/// block listed twice with different sizes) is kCorruption.  Records
+/// no restore.* metric or span.
 Result<RestoredState> read_checkpoint_file(storage::StorageBackend& storage,
                                            const std::string& key);
 
@@ -81,14 +87,6 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
 Result<RestoredState> restore_chain(storage::StorageBackend& storage,
                                     std::uint32_t rank,
                                     std::uint64_t upto = UINT64_MAX);
-
-/// Reference implementation: the pre-pipeline serial restorer, which
-/// fully parses every object and overlays them in memory.  Kept as the
-/// byte-identity oracle for tests and bench/ablation_restore; new code
-/// should call restore_chain.
-Result<RestoredState> restore_chain_serial(storage::StorageBackend& storage,
-                                           std::uint32_t rank,
-                                           std::uint64_t upto = UINT64_MAX);
 
 /// Materialize a restored state into a fresh AddressSpace; returns the
 /// mapping from checkpointed block ids to new block ids (ascending by

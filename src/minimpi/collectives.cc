@@ -31,7 +31,7 @@ Status gather(Comm& comm, int root, std::span<const std::byte> chunk,
   const auto nprocs = static_cast<std::size_t>(comm.size());
   const int tag = collective_tag(comm, Op::kGather);
   if (comm.rank() == root) {
-    if (out.size() < nprocs * chunk.size()) {
+    if (out.size() / nprocs < chunk.size()) {
       return invalid_argument("gather: output buffer too small");
     }
     std::memcpy(out.data() +
@@ -59,14 +59,14 @@ Status scatter(Comm& comm, int root, std::span<const std::byte> data,
   const std::size_t chunk = out.size();
   const int tag = collective_tag(comm, Op::kScatter);
   if (comm.rank() == root) {
-    if (data.size() < nprocs * chunk) {
+    if (data.size() / nprocs < chunk) {
       return invalid_argument("scatter: input buffer too small");
     }
     for (int r = 0; r < comm.size(); ++r) {
       auto piece =
           data.subspan(static_cast<std::size_t>(r) * chunk, chunk);
       if (r == root) {
-        std::memcpy(out.data(), piece.data(), chunk);
+        std::memcpy(out.data(), piece.data(), piece.size());
       } else {
         comm.send(r, tag, piece);
       }
@@ -85,7 +85,7 @@ Status allgather(Comm& comm, std::span<const std::byte> chunk,
                  std::span<std::byte> out) {
   const auto nprocs = static_cast<std::size_t>(comm.size());
   const int tag = collective_tag(comm, Op::kAllgather);
-  if (out.size() < nprocs * chunk.size()) {
+  if (out.size() / nprocs < chunk.size()) {
     return invalid_argument("allgather: output buffer too small");
   }
   // Buffered sends: everyone posts to everyone, then drains.
@@ -115,17 +115,17 @@ Status alltoall(Comm& comm, std::span<const std::byte> send,
                 std::span<std::byte> out, std::size_t chunk) {
   const auto nprocs = static_cast<std::size_t>(comm.size());
   const int tag = collective_tag(comm, Op::kAlltoall);
-  if (send.size() < nprocs * chunk) {
+  if (send.size() / nprocs < chunk) {
     return invalid_argument("alltoall: send buffer too small");
   }
-  if (out.size() < nprocs * chunk) {
+  if (out.size() / nprocs < chunk) {
     return invalid_argument("alltoall: output buffer too small");
   }
   for (int r = 0; r < comm.size(); ++r) {
     auto piece = send.subspan(static_cast<std::size_t>(r) * chunk, chunk);
     if (r == comm.rank()) {
       std::memcpy(out.data() + static_cast<std::size_t>(r) * chunk,
-                  piece.data(), chunk);
+                  piece.data(), piece.size());
     } else {
       comm.send(r, tag, piece);
     }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 
@@ -106,6 +107,18 @@ TEST(AlltoallTest, TransposePattern) {
             << "from rank " << s;
       }
     }
+  });
+}
+
+TEST(AlltoallTest, ChunkWhoseTotalWrapsIsRejected) {
+  // 2 * kChunk wraps to 0 in size_t: a multiplied bound check accepts
+  // it and then copies far past both buffers.
+  constexpr std::size_t kChunk = SIZE_MAX / 2 + 1;
+  Runtime::run(2, [](Comm& comm) {
+    std::vector<std::byte> send(16);
+    std::vector<std::byte> out(16);
+    EXPECT_EQ(alltoall(comm, send, out, kChunk).code(),
+              ErrorCode::kInvalidArgument);
   });
 }
 

@@ -75,6 +75,17 @@ TEST(CoordinatedTest, LastCommittedWithoutMarkers) {
             ErrorCode::kNotFound);
 }
 
+TEST(CoordinatedTest, CommitKeyParserAcceptsOnlyMarkers) {
+  EXPECT_EQ(parse_commit_key("commit/000000000042"), 42u);
+  EXPECT_EQ(parse_commit_key("commit/7"), 7u);
+  EXPECT_EQ(parse_commit_key("commit/18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_commit_key("commit/"));
+  EXPECT_FALSE(parse_commit_key("commit/12x"));
+  EXPECT_FALSE(parse_commit_key("commit/-1"));
+  EXPECT_FALSE(parse_commit_key("commit/18446744073709551616"));
+  EXPECT_FALSE(parse_commit_key("rank0/ckpt-1"));
+}
+
 TEST(CoordinatedTest, FailedRankAbortsCommit) {
   constexpr int kRanks = 3;
   auto storage = storage::make_memory_backend();

@@ -1,12 +1,13 @@
-// The plan-then-decode restore pipeline: parallel-vs-serial byte
-// identity, upto filtering, gap and corruption handling (strict and
-// truncated-tail), memory exclusion across long chains, decode-once
-// accounting, numeric sequence ordering at the key-pad boundary, and
-// store repair.
+// The plan-then-decode restore pipeline: byte identity with the state
+// each checkpoint wrote, upto filtering, gap and corruption handling
+// (strict and truncated-tail), memory exclusion across long chains,
+// decode-once accounting, single-object reads, numeric sequence
+// ordering at the key-pad boundary, and store repair.
 #include "checkpoint/restore.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "checkpoint/checkpointer.h"
@@ -79,10 +80,35 @@ class RestoreChainTest : public ::testing::Test {
     engine_.note_write(p.data(), p.size());
   }
 
+  /// Record what restore must reproduce at `seq`: every live block of
+  /// space_, byte for byte, as the checkpoint at `seq` saw it.
+  void record(std::uint64_t seq, double vt) {
+    RestoredState& state = written_[seq];
+    state.sequence = seq;
+    state.virtual_time = vt;
+    for (const auto& info : space_.blocks()) {
+      auto mem = space_.block_span(info.id);
+      ASSERT_TRUE(mem.is_ok());
+      RestoredBlock& b = state.blocks[info.id];
+      b.id = info.id;
+      b.name = info.name;
+      b.kind = info.kind;
+      b.data.assign(mem->begin(), mem->begin() + info.bytes);
+    }
+  }
+
+  void full(double vt) {
+    auto meta = ckpt_->checkpoint_full(vt);
+    ASSERT_TRUE(meta.is_ok());
+    record(meta->sequence, vt);
+  }
+
   void incremental(double vt) {
     auto snap = engine_.collect(true);
     ASSERT_TRUE(snap.is_ok());
-    ASSERT_TRUE(ckpt_->checkpoint_incremental(*snap, vt).is_ok());
+    auto meta = ckpt_->checkpoint_incremental(*snap, vt);
+    ASSERT_TRUE(meta.is_ok());
+    record(meta->sequence, vt);
   }
 
   std::vector<std::byte> read_object(const std::string& key) {
@@ -128,7 +154,7 @@ class RestoreChainTest : public ::testing::Test {
   /// 0..increments.
   std::span<std::byte> build_chain(int increments) {
     auto a = add_block(8, "a", 1);
-    EXPECT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+    full(0.0);
     EXPECT_TRUE(engine_.arm().is_ok());
     for (int i = 1; i <= increments; ++i) {
       touch(a, static_cast<std::size_t>(i) % 8, 100 + i);
@@ -143,14 +169,15 @@ class RestoreChainTest : public ::testing::Test {
   AddressSpace space_;
   std::unique_ptr<Checkpointer> ckpt_;
   std::vector<region::BlockId> ids_;
+  std::map<std::uint64_t, RestoredState> written_;  ///< by sequence
 };
 
-TEST_F(RestoreChainTest, ParallelMatchesSerialAcrossEventfulChain) {
+TEST_F(RestoreChainTest, ParallelMatchesWrittenStateAcrossEventfulChain) {
   // An eventful chain: several blocks, a mid-chain unmap (memory
   // exclusion) and a mid-chain map (zero-filled birth + later dirty).
   auto a = add_block(8, "a", 1);
   auto b = add_block(3, "b", 2);
-  ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+  full(0.0);
   ASSERT_TRUE(engine_.arm().is_ok());
 
   touch(a, 2, 11);
@@ -169,16 +196,13 @@ TEST_F(RestoreChainTest, ParallelMatchesSerialAcrossEventfulChain) {
   touch(c, 2, 30);
   incremental(4.0);
 
-  auto serial = restore_chain_serial(*storage_, 0);
-  ASSERT_TRUE(serial.is_ok());
-  EXPECT_EQ(serial->blocks.count(ids_[1]), 0u);  // exclusion applied
-
+  EXPECT_EQ(written_.at(4).blocks.count(ids_[1]), 0u);  // "b" unmapped
   for (int threads : {1, 2, 4}) {
     RestoreOptions opts;
     opts.decode_threads = threads;
     auto planned = restore_chain(*storage_, 0, opts);
     ASSERT_TRUE(planned.is_ok()) << planned.status().to_string();
-    expect_states_identical(*serial, *planned);
+    expect_states_identical(written_.at(4), *planned);
   }
 }
 
@@ -186,7 +210,7 @@ TEST_F(RestoreChainTest, MemoryExclusionAcrossThreeIncrementals) {
   auto a = add_block(4, "a", 1);
   add_block(2, "b", 2);
   add_block(2, "c", 3);
-  ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+  full(0.0);
   ASSERT_TRUE(engine_.arm().is_ok());
 
   ASSERT_TRUE(space_.unmap(ids_[1]).is_ok());
@@ -208,20 +232,16 @@ TEST_F(RestoreChainTest, MemoryExclusionAcrossThreeIncrementals) {
                         a.size()),
             0);
 
-  auto serial = restore_chain_serial(*storage_, 0);
-  ASSERT_TRUE(serial.is_ok());
-  expect_states_identical(*serial, *planned);
+  expect_states_identical(written_.at(3), *planned);
 }
 
 TEST_F(RestoreChainTest, UptoRestoresEveryIntermediateState) {
   build_chain(5);
   for (std::uint64_t upto = 0; upto <= 5; ++upto) {
-    auto serial = restore_chain_serial(*storage_, 0, upto);
-    ASSERT_TRUE(serial.is_ok()) << "upto " << upto;
-    EXPECT_EQ(serial->sequence, upto);
     auto planned = restore_chain(*storage_, 0, upto);
     ASSERT_TRUE(planned.is_ok()) << "upto " << upto;
-    expect_states_identical(*serial, *planned);
+    EXPECT_EQ(planned->sequence, upto);
+    expect_states_identical(written_.at(upto), *planned);
   }
 }
 
@@ -266,9 +286,7 @@ TEST_F(RestoreChainTest, GapRecoversToPrefixWithTruncatedTail) {
   auto state = restore_chain(*storage_, 0, opts);
   ASSERT_TRUE(state.is_ok()) << state.status().to_string();
   EXPECT_EQ(state->sequence, 1u);
-  auto reference = restore_chain_serial(*storage_, 0, 1);
-  ASSERT_TRUE(reference.is_ok());
-  expect_states_identical(*reference, *state);
+  expect_states_identical(written_.at(1), *state);
 }
 
 TEST_F(RestoreChainTest, CorruptTailStrictVsTruncated) {
@@ -284,12 +302,7 @@ TEST_F(RestoreChainTest, CorruptTailStrictVsTruncated) {
   auto state = restore_chain(*storage_, 0, opts);
   ASSERT_TRUE(state.is_ok()) << state.status().to_string();
   EXPECT_EQ(state->sequence, 3u);
-  // The serial oracle still parses every object in the store, so give
-  // it a clean one: drop the corrupt tail before comparing.
-  ASSERT_TRUE(storage_->remove(checkpoint_key(0, 4)).is_ok());
-  auto reference = restore_chain_serial(*storage_, 0, 3);
-  ASSERT_TRUE(reference.is_ok());
-  expect_states_identical(*reference, *state);
+  expect_states_identical(written_.at(3), *state);
 }
 
 TEST_F(RestoreChainTest, CorruptMidChainTruncatesToPrefix) {
@@ -305,13 +318,7 @@ TEST_F(RestoreChainTest, CorruptMidChainTruncatesToPrefix) {
   auto state = restore_chain(*storage_, 0, opts);
   ASSERT_TRUE(state.is_ok()) << state.status().to_string();
   EXPECT_EQ(state->sequence, 1u);  // everything after 2 is unusable too
-  // Clean store for the serial oracle (it parses everything).
-  for (std::uint64_t s = 2; s <= 5; ++s) {
-    ASSERT_TRUE(storage_->remove(checkpoint_key(0, s)).is_ok());
-  }
-  auto reference = restore_chain_serial(*storage_, 0, 1);
-  ASSERT_TRUE(reference.is_ok());
-  expect_states_identical(*reference, *state);
+  expect_states_identical(written_.at(1), *state);
 }
 
 TEST_F(RestoreChainTest, ObliteratedTailObjectStillRecovers) {
@@ -359,6 +366,131 @@ TEST_F(RestoreChainTest, SequentialChunkedBackendRestores) {
   }
 }
 
+/// Recompute the trailer CRC after editing an object's bytes, so only
+/// the structural or decode checks can catch the edit.
+void reseal(std::vector<std::byte>& data) {
+  FileTrailer t;
+  std::memcpy(&t, data.data() + data.size() - sizeof t, sizeof t);
+  t.crc32 = crc32({data.data(), data.size() - sizeof t});
+  std::memcpy(data.data() + data.size() - sizeof t, &t, sizeof t);
+}
+
+/// The first BlockHeader of an object.
+BlockHeader first_block(const std::vector<std::byte>& data) {
+  BlockHeader bh;
+  std::memcpy(&bh, data.data() + sizeof(FileHeader), sizeof bh);
+  return bh;
+}
+
+// --- Single-object reads (fsck's per-object check) ------------------
+
+TEST_F(RestoreChainTest, ReadCheckpointFileReturnsOneIncrementalAlone) {
+  auto a = add_block(8, "a", 1);
+  full(0.0);
+  ASSERT_TRUE(engine_.arm().is_ok());
+  touch(a, 2, 11);
+  touch(a, 5, 12);
+  incremental(1.5);
+
+  auto& reg = obs::registry();
+  auto& decoded = reg.counter("restore.pages_decoded");
+  auto& skipped = reg.counter("restore.pages_skipped");
+  auto& bytes_read = reg.counter("restore.bytes_read");
+  const std::uint64_t d0 = decoded.value();
+  const std::uint64_t s0 = skipped.value();
+  const std::uint64_t b0 = bytes_read.value();
+
+  // Random access, and a 37-byte-per-read sequential view that drives
+  // the scanner and shard fallbacks.
+  storage::ChunkedBackend chunked(*storage_, 37);
+  for (storage::StorageBackend* backend :
+       {storage_.get(), static_cast<storage::StorageBackend*>(&chunked)}) {
+    auto state = read_checkpoint_file(*backend, checkpoint_key(0, 1));
+    ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+    EXPECT_EQ(state->sequence, 1u);
+    EXPECT_DOUBLE_EQ(state->virtual_time, 1.5);
+    ASSERT_EQ(state->blocks.size(), 1u);
+    const RestoredBlock& b = state->blocks.at(ids_[0]);
+    EXPECT_EQ(b.name, "a");
+    ASSERT_EQ(b.data.size(), a.size());
+    const std::size_t ps = page_size();
+    for (std::size_t p = 0; p < 8; ++p) {
+      const std::byte* got = b.data.data() + p * ps;
+      if (p == 2 || p == 5) {
+        EXPECT_EQ(std::memcmp(got, a.data() + p * ps, ps), 0) << "page " << p;
+      } else {
+        EXPECT_TRUE(std::all_of(got, got + ps,
+                                [](std::byte x) { return x == std::byte{0}; }))
+            << "page " << p << " should be zero: not in this object";
+      }
+    }
+  }
+  // fsck's per-object reads are not restores.
+  EXPECT_EQ(decoded.value(), d0);
+  EXPECT_EQ(skipped.value(), s0);
+  EXPECT_EQ(bytes_read.value(), b0);
+}
+
+TEST_F(RestoreChainTest, UndecodablePageBeforeSeedFailsOnlyFsck) {
+  auto a = build_chain(2);
+  full(3.0);  // the seed: objects 0..2 are never read by restore
+  touch(a, 4, 40);
+  incremental(4.0);
+
+  // A page of object 1 gets an unknown encoding; the CRC still holds.
+  const std::string key = checkpoint_key(0, 1);
+  auto data = read_object(key);
+  const BlockHeader bh = first_block(data);
+  ASSERT_GT(bh.run_count, 0u);
+  const std::size_t rec_offset =
+      sizeof(FileHeader) + sizeof bh + bh.name_len + sizeof(RunHeader);
+  PageRecord rec;
+  std::memcpy(&rec, data.data() + rec_offset, sizeof rec);
+  rec.encoding = 0xEE;
+  std::memcpy(data.data() + rec_offset, &rec, sizeof rec);
+  reseal(data);
+  write_object(key, data);
+
+  auto state = restore_chain(*storage_, 0);
+  ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+  expect_states_identical(written_.at(4), *state);
+
+  EXPECT_EQ(read_checkpoint_file(*storage_, key).status().code(),
+            ErrorCode::kCorruption);
+  auto report = inspect_chain(*storage_, 0);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_TRUE(report->recoverable);
+  EXPECT_TRUE(std::any_of(report->problems.begin(), report->problems.end(),
+                          [&](const std::string& p) {
+                            return p.rfind(key + ": ", 0) == 0;
+                          }))
+      << "fsck did not report " << key;
+}
+
+TEST_F(RestoreChainTest, BlockListedTwiceWithDifferentSizesIsCorruption) {
+  add_block(3, "small", 1);
+  add_block(8, "big", 2);
+  full(0.0);
+
+  // Relabel the first (small) manifest entry with the big block's id:
+  // one id, two sizes.  Were the small buffer used for the big entry's
+  // pages, they would land past its end.
+  const std::string key = checkpoint_key(0, 0);
+  auto data = read_object(key);
+  BlockHeader bh = first_block(data);
+  ASSERT_EQ(bh.block_id, ids_[0]);
+  ASSERT_EQ(bh.bytes, 3 * page_size());
+  bh.block_id = ids_[1];
+  std::memcpy(data.data() + sizeof(FileHeader), &bh, sizeof bh);
+  reseal(data);
+  write_object(key, data);
+
+  EXPECT_EQ(read_checkpoint_file(*storage_, key).status().code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(restore_chain(*storage_, 0).status().code(),
+            ErrorCode::kCorruption);
+}
+
 // --- Sequence ordering at the key zero-pad boundary -----------------
 
 /// Rewrite header sequence/parent and re-seal the trailer CRC.
@@ -369,10 +501,7 @@ void patch_sequences(std::vector<std::byte>& data, std::uint64_t seq,
   h.sequence = seq;
   h.parent_sequence = parent;
   std::memcpy(data.data(), &h, sizeof h);
-  FileTrailer t;
-  std::memcpy(&t, data.data() + data.size() - sizeof t, sizeof t);
-  t.crc32 = crc32({data.data(), data.size() - sizeof t});
-  std::memcpy(data.data() + data.size() - sizeof t, &t, sizeof t);
+  reseal(data);
 }
 
 TEST_F(RestoreChainTest, RestoresChainsPastTheOldPadBoundary) {
@@ -395,10 +524,9 @@ TEST_F(RestoreChainTest, RestoresChainsPastTheOldPadBoundary) {
 
   auto planned = restore_chain(*storage_, 0);
   ASSERT_TRUE(planned.is_ok()) << planned.status().to_string();
-  EXPECT_EQ(planned->sequence, kBase + 2);
-  auto serial = restore_chain_serial(*storage_, 0);
-  ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
-  expect_states_identical(*serial, *planned);
+  RestoredState expected = written_.at(2);
+  expected.sequence = kBase + 2;
+  expect_states_identical(expected, *planned);
 
   // And fsck agrees the store is healthy despite the mixed ordering.
   auto report = inspect_chain(*storage_, 0);
@@ -412,6 +540,29 @@ TEST(CheckpointKeyTest, KeysSortLexicographicallyAcrossPadBoundary) {
   EXPECT_LT(checkpoint_key(0, 999999999999ull),
             checkpoint_key(0, 1000000000000ull));
   EXPECT_LT(checkpoint_key(0, 0), checkpoint_key(0, UINT64_MAX));
+}
+
+TEST(CheckpointKeyTest, ParseInvertsCheckpointKeyAtAnyPad) {
+  for (std::uint64_t s : {std::uint64_t{0}, std::uint64_t{42},
+                          std::uint64_t{999999999999}, UINT64_MAX}) {
+    auto key = parse_checkpoint_key(checkpoint_key(7, s));
+    ASSERT_TRUE(key);
+    EXPECT_EQ(key->rank, 7u);
+    EXPECT_EQ(key->sequence, s);
+  }
+  EXPECT_EQ(parse_checkpoint_key("rank3/ckpt-000000000012")->sequence, 12u);
+  // In a rank's namespace but not a checkpoint: rank only.
+  for (const char* k : {"rank0/not-a-checkpoint", "rank0/ckpt-1x",
+                        "rank0/ckpt-"}) {
+    auto key = parse_checkpoint_key(k);
+    ASSERT_TRUE(key) << k;
+    EXPECT_EQ(key->rank, 0u);
+    EXPECT_FALSE(key->sequence) << k;
+  }
+  for (const char* k : {"rank/ckpt-1", "rankx/ckpt-1", "rank0",
+                        "quarantine/rank0/ckpt-1", "commit/1"}) {
+    EXPECT_FALSE(parse_checkpoint_key(k)) << k;
+  }
 }
 
 // --- Repair ---------------------------------------------------------

@@ -86,8 +86,18 @@ for f in "$@"; do
       continue
     fi
   fi
-  # X9 (bench "restore") must carry both on-disk decode pairs.
+  # X9 (bench "restore") must carry the one-thread and pooled planned
+  # arms (the 1T arm is the denominator of the pool speedup) and both
+  # on-disk decode pairs.
   if [ "$(jq -r '.bench' "$f")" = "restore" ]; then
+    if ! jq -e '[.arms[].name] |
+        (any(startswith("chain") and endswith("_planned_1t"))) and
+        (any(startswith("chain") and endswith("_planned_pool")))' \
+        "$f" > /dev/null; then
+      echo "FAIL $f: restore bench missing planned chain arms" >&2
+      status=1
+      continue
+    fi
     if ! jq -e '[.arms[].name] |
         (any(startswith("file_chain"))) and
         (any(startswith("segment_chain")))' "$f" > /dev/null; then
