@@ -14,9 +14,9 @@
 // Machine-readable telemetry: a harness that wraps its arms in
 // BenchJson::run_arm writes BENCH_<name>.json next to the CSV — one
 // record per arm with wall/cpu seconds, bytes processed and per-phase
-// span rollups from the trace ring (docs/OBSERVABILITY.md documents
-// the schema; CI validates it).  --trace FILE additionally saves the
-// whole run as a Chrome/Perfetto trace.
+// totals from the obs::Stage histograms (docs/OBSERVABILITY.md
+// documents the schema; CI validates it).  --trace FILE additionally
+// saves the whole run as a Chrome/Perfetto trace.
 #pragma once
 
 #include <ctime>
@@ -36,7 +36,7 @@
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/study.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace ickpt::bench {
 
@@ -119,23 +119,22 @@ inline double process_cpu_seconds() {
 ///             "phases":[{"name":"ckpt.encode_shard","count":96,
 ///                        "total_ns":812345678}]}]}
 ///
-/// Construction turns span tracing on; each run_arm attributes the
-/// events emitted while its body ran (by ring sequence number) and
-/// rolls completed spans up into per-phase totals.  wall_s/cpu_s cover
-/// the whole arm body — repetitions included — so rates derived from
-/// them divide by the total bytes the arm actually pushed.
+/// Each phase is one obs::Stage: its count and total_ns are how much the
+/// stage's histogram grew while the arm ran — exactly the arm's scopes,
+/// as arms run one after another.  wall_s/cpu_s cover the whole arm body
+/// (repetitions included) so derived rates divide by the total bytes
+/// the arm pushed.  Span tracing is on only for --trace.
 class BenchJson {
  public:
   BenchJson(std::string bench, const BenchArgs& args)
       : bench_(std::move(bench)), scale_(args.scale), quick_(args.quick) {
-    obs::start_tracing();
+    if (!args.trace.empty()) obs::start_tracing();
   }
 
   /// Measure `fn` as one arm processing `bytes` bytes.
   template <typename F>
   void run_arm(const std::string& name, std::uint64_t bytes, F&& fn) {
-    const obs::TraceRing* ring = obs::trace_ring();
-    const std::uint64_t seq0 = ring != nullptr ? ring->emitted() : 0;
+    const std::vector<Phase> before = stage_totals();
     const double cpu0 = process_cpu_seconds();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
@@ -146,11 +145,14 @@ class BenchJson {
             .count();
     arm.cpu_s = process_cpu_seconds() - cpu0;
     arm.bytes = bytes;
-    if (ring != nullptr) {
-      auto events = ring->snapshot();
-      std::erase_if(events,
-                    [seq0](const obs::TraceEvent& e) { return e.seq < seq0; });
-      arm.phases = obs::rollup_spans(events);
+    // Stages are only ever appended, so `before` is a prefix.
+    std::vector<Phase> after = stage_totals();
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      if (i < before.size()) {
+        after[i].count -= before[i].count;
+        after[i].total_ns -= before[i].total_ns;
+      }
+      if (after[i].count > 0) arm.phases.push_back(std::move(after[i]));
     }
     arms_.push_back(std::move(arm));
   }
@@ -207,13 +209,27 @@ class BenchJson {
   }
 
  private:
+  struct Phase {
+    std::string name;
+    std::uint64_t count = 0;
+    std::uint64_t total_ns = 0;
+  };
   struct Arm {
     std::string name;
     double wall_s = 0;
     double cpu_s = 0;
     std::uint64_t bytes = 0;
-    std::vector<obs::SpanRollup> phases;
+    std::vector<Phase> phases;  ///< in stage registration order
   };
+
+  /// Every stage's histogram count and sum, in registration order.
+  static std::vector<Phase> stage_totals() {
+    std::vector<Phase> out;
+    for (const obs::Stage* s : obs::stages()) {
+      out.push_back({s->name(), s->histogram().count(), s->histogram().sum()});
+    }
+    return out;
+  }
 
   static std::string num(double v) {
     char buf[32];

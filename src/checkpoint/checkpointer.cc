@@ -12,8 +12,7 @@
 #include "checkpoint/compress.h"
 #include "common/crc32.h"
 #include "common/page.h"
-#include "obs/timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace ickpt::checkpoint {
 
@@ -30,14 +29,11 @@ struct CkptMetrics {
   obs::Counter& shards;
   obs::Counter& zero_pages;
   obs::Counter& rle_pages;
-  obs::Histogram& plan_ns;
-  obs::Histogram& encode_ns;
-  obs::Histogram& crc_ns;
-  obs::Histogram& write_ns;
-  obs::Histogram& encode_stall_ns;
-  std::uint16_t t_plan;         ///< "ckpt.plan" span
-  std::uint16_t t_encode_shard; ///< "ckpt.encode_shard" span
-  std::uint16_t t_write;        ///< "ckpt.write" span
+  obs::Stage& plan;
+  obs::Stage& encode_shard;
+  obs::Stage& crc;
+  obs::Stage& write;
+  obs::Stage& encode_stall;  ///< the stitcher waiting on a worker
 
   static CkptMetrics& get() {
     auto& r = obs::registry();
@@ -49,15 +45,11 @@ struct CkptMetrics {
                          r.counter("ckpt.shards"),
                          r.counter("ckpt.zero_pages"),
                          r.counter("ckpt.rle_pages"),
-                         r.histogram("ckpt.plan_ns"),
-                         r.histogram("ckpt.encode_ns"),
-                         r.histogram("ckpt.crc_ns"),
-                         r.histogram("ckpt.write_ns"),
-                         r.histogram("ckpt.encode_stall_ns"),
-                         obs::trace_name("ckpt.plan", obs::TraceCat::kCkpt),
-                         obs::trace_name("ckpt.encode_shard",
-                                         obs::TraceCat::kCkpt),
-                         obs::trace_name("ckpt.write", obs::TraceCat::kCkpt)};
+                         obs::stage("ckpt.plan", obs::TraceCat::kCkpt),
+                         obs::stage("ckpt.encode_shard", obs::TraceCat::kCkpt),
+                         obs::stage("ckpt.crc", obs::TraceCat::kCkpt),
+                         obs::stage("ckpt.write", obs::TraceCat::kCkpt),
+                         obs::stage("ckpt.encode_stall", obs::TraceCat::kCkpt)};
     return m;
   }
 };
@@ -189,8 +181,7 @@ void append(std::vector<std::byte>& buf, const void* data, std::size_t len) {
 
 void encode_shard(EncodeShard& shard, std::size_t psize, bool compress) {
   auto& metrics = CkptMetrics::get();
-  obs::ScopedTimer encode_timer(metrics.encode_ns);
-  obs::TraceSpan span(metrics.t_encode_shard, shard.page_count);
+  auto encode_scope = metrics.encode_shard.begin(shard.page_count);
   shard.buf.reserve(shard.page_count * (sizeof(PageRecord) + psize));
   std::vector<std::byte> payload;
   for (std::uint32_t p = 0; p < shard.page_count; ++p) {
@@ -214,7 +205,7 @@ void encode_shard(EncodeShard& shard, std::size_t psize, bool compress) {
     }
   }
   {
-    obs::ScopedTimer crc_timer(metrics.crc_ns);
+    auto crc_scope = metrics.crc.begin();
     shard.crc = crc32(shard.buf);
   }
   metrics.shards.inc();
@@ -270,8 +261,7 @@ Result<CheckpointMeta> Checkpointer::write_object(
     Kind kind, const memtrack::DirtySnapshot* snapshot, double virtual_time,
     std::uint64_t seq, const std::string& key) {
   auto& metrics = CkptMetrics::get();
-  obs::ScopedTimer plan_timer(metrics.plan_ns);
-  obs::TraceSpan plan_span(metrics.t_plan, seq);
+  auto plan_scope = metrics.plan.begin(seq);
   const auto blocks = space_.blocks();
   const std::size_t psize = page_size();
 
@@ -330,10 +320,8 @@ Result<CheckpointMeta> Checkpointer::write_object(
     }
   }
 
-  plan_timer.stop();
-  plan_span.end(total_pages, shards.size());
-  obs::ScopedTimer write_timer(metrics.write_ns);
-  obs::TraceSpan write_span(metrics.t_write, seq, total_pages);
+  plan_scope.end(total_pages, shards.size());
+  auto write_scope = metrics.write.begin(seq, total_pages);
 
   // Workers encode shards out of order; the stitcher consumes them in
   // file order as each completes, so writing overlaps encoding.  The
@@ -403,11 +391,8 @@ Result<CheckpointMeta> Checkpointer::write_object(
           if (done.wait_for(std::chrono::seconds(0)) !=
               std::future_status::ready) {
             // The stitcher outran the workers: record the bubble.
-            obs::StallClock stall;
+            auto stall_scope = metrics.encode_stall.begin(shard_idx);
             done.wait();
-            if (obs::enabled()) {
-              metrics.encode_stall_ns.record(stall.elapsed_ns());
-            }
           }
         } else {
           encode_shard(s, psize, options_.compress);

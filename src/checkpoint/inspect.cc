@@ -6,23 +6,11 @@
 #include "checkpoint/coordinated.h"
 #include "checkpoint/format.h"
 #include "checkpoint/restore.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace ickpt::checkpoint {
 
 namespace {
-
-struct FsckTrace {
-  std::uint16_t t_inspect;  ///< "fsck.inspect" span (arg0 = rank)
-  std::uint16_t t_repair;   ///< "fsck.repair" span
-
-  static FsckTrace& get() {
-    static FsckTrace t{
-        obs::trace_name("fsck.inspect", obs::TraceCat::kFsck),
-        obs::trace_name("fsck.repair", obs::TraceCat::kFsck)};
-    return t;
-  }
-};
 
 /// One chain element: header fields from peek_header, then a full
 /// structural, decode and CRC check through read_checkpoint_file.
@@ -87,7 +75,9 @@ bool StoreReport::healthy() const noexcept {
 
 Result<ChainReport> inspect_chain(storage::StorageBackend& storage,
                                   std::uint32_t rank) {
-  obs::TraceSpan span(FsckTrace::get().t_inspect, rank);
+  static obs::Stage& inspect =
+      obs::stage("fsck.inspect", obs::TraceCat::kFsck);
+  auto scope = inspect.begin(rank);
   auto keys = storage.list();
   if (!keys.is_ok()) return keys.status();
 
@@ -204,7 +194,8 @@ Result<StoreReport> inspect_store(storage::StorageBackend& storage) {
 }
 
 Result<RepairReport> repair_store(storage::StorageBackend& storage) {
-  obs::TraceSpan span(FsckTrace::get().t_repair);
+  static obs::Stage& repair = obs::stage("fsck.repair", obs::TraceCat::kFsck);
+  auto scope = repair.begin();
   auto keys = storage.list();
   if (!keys.is_ok()) return keys.status();
 

@@ -13,7 +13,7 @@
 #include "common/thread_pool.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
 
 namespace ickpt::checkpoint {
@@ -29,16 +29,15 @@ struct RestoreMetrics {
   obs::Counter& bytes_read;
   obs::Counter& bytes_mapped;  ///< of bytes_read, served zero-copy
   obs::Counter& truncated_tails;
-  obs::Histogram& plan_ns;
-  obs::Histogram& decode_ns;
-  obs::Histogram& stitch_ns;
-  std::uint16_t t_plan;          ///< "restore.plan" span
-  std::uint16_t t_decode_shard;  ///< "restore.decode_shard" span
-  std::uint16_t t_stitch;        ///< "restore.stitch" span
-  std::uint16_t t_fail;          ///< "restore.fail" instant
+  obs::Stage& plan;
+  obs::Stage& decode;        ///< every shard of one attempt
+  obs::Stage& decode_shard;
+  obs::Stage& stitch;
+  std::uint16_t fail_instant;  ///< "restore.fail"
 
   static RestoreMetrics& get() {
     auto& r = obs::registry();
+    const auto cat = obs::TraceCat::kRestore;
     static RestoreMetrics m{r.counter("restore.chains"),
                             r.counter("restore.objects"),
                             r.counter("restore.pages_decoded"),
@@ -46,17 +45,11 @@ struct RestoreMetrics {
                             r.counter("restore.bytes_read"),
                             r.counter("restore.bytes_mapped"),
                             r.counter("restore.truncated_tails"),
-                            r.histogram("restore.plan_ns"),
-                            r.histogram("restore.decode_ns"),
-                            r.histogram("restore.stitch_ns"),
-                            obs::trace_name("restore.plan",
-                                            obs::TraceCat::kRestore),
-                            obs::trace_name("restore.decode_shard",
-                                            obs::TraceCat::kRestore),
-                            obs::trace_name("restore.stitch",
-                                            obs::TraceCat::kRestore),
-                            obs::trace_name("restore.fail",
-                                            obs::TraceCat::kRestore)};
+                            obs::stage("restore.plan", cat),
+                            obs::stage("restore.decode", cat),
+                            obs::stage("restore.decode_shard", cat),
+                            obs::stage("restore.stitch", cat),
+                            obs::trace_name("restore.fail", cat)};
     return m;
   }
 };
@@ -378,8 +371,9 @@ Status read_range(storage::Reader& in, std::uint64_t offset,
 void run_shard(storage::StorageBackend& storage,
                const std::vector<ObjectPlan>& objs,
                const std::map<std::uint32_t, std::byte*>& out_base,
-               bool map_reads, std::uint16_t span_name, DecodeShard& s) {
-  obs::TraceSpan span(span_name, s.page_count, s.length);
+               bool map_reads, const obs::Stage* stage, DecodeShard& s) {
+  obs::Stage::Scope scope;
+  if (stage != nullptr) scope = stage->begin(s.page_count, s.length);
   const ObjectPlan& obj = objs[s.obj_idx];
   auto reader = storage.open(obj.key);
   if (!reader.is_ok()) {
@@ -470,14 +464,14 @@ std::vector<DecodeShard> make_shards(const std::vector<ObjectPlan>& objs,
 }
 
 /// Decode every shard, on a pool of `threads` workers or inline.
-/// `span_name` labels each shard's trace span (0: no span).
+/// `stage` times each shard (nullptr: untimed, untraced).
 void run_shards(storage::StorageBackend& storage,
                 const std::vector<ObjectPlan>& objs,
                 const std::map<std::uint32_t, std::byte*>& out_base,
-                bool map_reads, int threads, std::uint16_t span_name,
+                bool map_reads, int threads, const obs::Stage* stage,
                 std::vector<DecodeShard>& shards) {
   auto decode = [&](DecodeShard& s) {
-    run_shard(storage, objs, out_base, map_reads, span_name, s);
+    run_shard(storage, objs, out_base, map_reads, stage, s);
   };
   if (threads > 1 && shards.size() > 1) {
     ThreadPool pool(static_cast<std::size_t>(threads));
@@ -545,8 +539,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
                               bool map_reads, std::uint64_t* failed_seq,
                               bool* have_failed_seq) {
   auto& metrics = RestoreMetrics::get();
-  obs::ScopedTimer plan_timer(metrics.plan_ns);
-  obs::TraceSpan plan_span(metrics.t_plan, upto);
+  auto plan_scope = metrics.plan.begin(upto);
 
   auto keys = storage.list();
   if (!keys.is_ok()) return keys.status();
@@ -739,16 +732,14 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   std::uint64_t total_pages = 0;
   for (const auto& obj : objs) total_pages += obj.pages.size();
   std::vector<DecodeShard> shards = make_shards(objs, threads);
-  plan_timer.stop();
-  plan_span.end(total_pages, shards.size());
+  plan_scope.end(total_pages, shards.size());
 
-  obs::ScopedTimer decode_timer(metrics.decode_ns);
+  auto decode_scope = metrics.decode.begin(shards.size());
   run_shards(storage, objs, out_base, map_reads, threads,
-             metrics.t_decode_shard, shards);
-  decode_timer.stop();
+             &metrics.decode_shard, shards);
+  decode_scope.end();
 
-  obs::ScopedTimer stitch_timer(metrics.stitch_ns);
-  obs::TraceSpan stitch_span(metrics.t_stitch);
+  auto stitch_scope = metrics.stitch.begin();
   ShardTotals totals;
   std::size_t bad_obj = 0;
   if (Status st = stitch(objs, shards, &totals, &bad_obj); !st.is_ok()) {
@@ -756,7 +747,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     *have_failed_seq = true;
     return st;
   }
-  stitch_timer.stop();
+  stitch_scope.end();
 
   metrics.chains.inc();
   metrics.objects.inc(objs.size());
@@ -771,7 +762,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
 /// carrying the failing sequence plus a flight-recorder dump (when one
 /// is configured) so the failure is diagnosable post-mortem.
 Status note_restore_failure(const Status& st, std::uint64_t failed_seq) {
-  obs::trace_instant(RestoreMetrics::get().t_fail, failed_seq,
+  obs::trace_instant(RestoreMetrics::get().fail_instant, failed_seq,
                      static_cast<std::uint64_t>(st.code()));
   obs::flightrec::dump("restore_chain failed: " + st.to_string());
   return st;
@@ -831,7 +822,7 @@ Result<RestoredState> read_checkpoint_file(storage::StorageBackend& storage,
   // object this way, and its reads are not restores.
   std::vector<DecodeShard> shards = make_shards(objs, 1);
   run_shards(storage, objs, out_base, /*map_reads=*/true, 1,
-             /*span_name=*/0, shards);
+             /*stage=*/nullptr, shards);
   ShardTotals totals;
   std::size_t bad_obj = 0;
   ICKPT_RETURN_IF_ERROR(stitch(objs, shards, &totals, &bad_obj));

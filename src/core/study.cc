@@ -11,7 +11,7 @@
 #include "minimpi/comm.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "sim/sampler.h"
 #include "sim/virtual_clock.h"
 #include "storage/backend.h"
@@ -134,9 +134,10 @@ RankOutcome run_rank(const StudyConfig& config, double run_vs,
                           const memtrack::DirtySnapshot& snap) {
       if (prev) prev(s, snap);
       if (!ckpt_status.is_ok()) return;
-      static const std::uint16_t t_slice =
-          obs::trace_name("study.slice", obs::TraceCat::kStudy);
-      obs::TraceSpan slice_span(t_slice, s.index);
+      static obs::Stage& slice =
+          obs::stage("study.slice", obs::TraceCat::kStudy);
+      auto slice_scope = slice.begin(s.index);
+      // Timed apart from the stage: results must not depend on obs.
       const auto t0 = std::chrono::steady_clock::now();
       auto meta = ckpt_ptr->checkpoint_incremental(snap, s.t_end);
       out.ckpt_encode_seconds +=

@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "memtrack/fault_table.h"
-#include "obs/timer.h"
+#include "obs/metrics.h"
 
 namespace ickpt::memtrack {
 
@@ -14,19 +14,10 @@ using detail::FaultTable;
 
 namespace {
 
-/// Handles are resolved once; arm/collect record via relaxed atomics.
-struct EngineMetrics {
-  obs::Histogram& arm_ns;
-  obs::Histogram& collect_ns;
-  obs::Counter& pages_protected;
-
-  static EngineMetrics& get() {
-    static EngineMetrics m{obs::registry().histogram("memtrack.arm_ns"),
-                           obs::registry().histogram("memtrack.collect_ns"),
-                           obs::registry().counter("memtrack.pages_protected")};
-    return m;
-  }
-};
+obs::Counter& pages_protected() {
+  static obs::Counter& c = obs::registry().counter("memtrack.pages_protected");
+  return c;
+}
 
 }  // namespace
 
@@ -104,7 +95,7 @@ Status MProtectEngine::detach(RegionId id) {
 
 Status MProtectEngine::arm() {
   std::lock_guard<std::mutex> lock(mu_);
-  obs::ScopedTimer timer(EngineMetrics::get().arm_ns);
+  auto scope = detail::arm_stage().begin();
   std::uint64_t pages = 0;
   for (auto& [id, r] : regions_) {
     r->bitmap.clear();
@@ -112,7 +103,7 @@ Status MProtectEngine::arm() {
     FaultTable::instance().set_armed(r->slot, true);
     pages += r->range.pages();
   }
-  EngineMetrics::get().pages_protected.inc(pages);
+  pages_protected().inc(pages);
   armed_ = true;
   ++arms_;
   return Status::ok();
@@ -120,7 +111,7 @@ Status MProtectEngine::arm() {
 
 Result<DirtySnapshot> MProtectEngine::collect(bool rearm) {
   std::lock_guard<std::mutex> lock(mu_);
-  obs::ScopedTimer timer(EngineMetrics::get().collect_ns);
+  auto scope = detail::collect_stage().begin();
   DirtySnapshot snap;
   snap.regions.reserve(regions_.size());
   for (auto& [id, r] : regions_) {
@@ -130,7 +121,7 @@ Result<DirtySnapshot> MProtectEngine::collect(bool rearm) {
     // alarm handler has.
     ICKPT_RETURN_IF_ERROR(protect_region(*r, /*readonly=*/rearm));
     FaultTable::instance().set_armed(r->slot, rearm);
-    if (rearm) EngineMetrics::get().pages_protected.inc(r->range.pages());
+    if (rearm) pages_protected().inc(r->range.pages());
     RegionDirty rd;
     rd.id = id;
     rd.name = r->name;

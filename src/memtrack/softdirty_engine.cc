@@ -7,23 +7,17 @@
 #include <cerrno>
 #include <cstring>
 
-#include "obs/timer.h"
+#include "obs/metrics.h"
 
 namespace ickpt::memtrack {
 
 namespace {
 
-struct SoftDirtyMetrics {
-  obs::Histogram& collect_ns;
-  obs::Counter& pages_scanned;
-
-  static SoftDirtyMetrics& get() {
-    static SoftDirtyMetrics m{
-        obs::registry().histogram("memtrack.collect_ns"),
-        obs::registry().counter("memtrack.pagemap_pages_scanned")};
-    return m;
-  }
-};
+obs::Counter& pagemap_scanned() {
+  static obs::Counter& c =
+      obs::registry().counter("memtrack.pagemap_pages_scanned");
+  return c;
+}
 
 constexpr std::uint64_t kSoftDirtyBit = 1ull << 55;
 
@@ -152,13 +146,14 @@ Status SoftDirtyEngine::scan_region(const Region& r,
     }
     done += entries;
     pages_scanned_ += entries;
-    SoftDirtyMetrics::get().pages_scanned.inc(entries);
+    pagemap_scanned().inc(entries);
   }
   return Status::ok();
 }
 
 Status SoftDirtyEngine::arm() {
   std::lock_guard<std::mutex> lock(mu_);
+  auto scope = detail::arm_stage().begin();
   ICKPT_RETURN_IF_ERROR(clear_refs());
   ++arms_;
   return Status::ok();
@@ -166,7 +161,7 @@ Status SoftDirtyEngine::arm() {
 
 Result<DirtySnapshot> SoftDirtyEngine::collect(bool rearm) {
   std::lock_guard<std::mutex> lock(mu_);
-  obs::ScopedTimer timer(SoftDirtyMetrics::get().collect_ns);
+  auto scope = detail::collect_stage().begin();
   DirtySnapshot snap;
   snap.regions.reserve(regions_.size());
   for (const auto& [id, r] : regions_) {

@@ -17,6 +17,7 @@
 
 #include "common/page.h"
 #include "common/status.h"
+#include "obs/stage.h"
 
 namespace ickpt::memtrack {
 
@@ -120,5 +121,20 @@ bool soft_dirty_supported();
 
 /// True if userfaultfd write-protection works here (see uffd_engine.h).
 bool uffd_supported();
+
+namespace detail {
+
+/// The stages every kernel-backed engine times arm() and collect() with.
+inline obs::Stage& arm_stage() {
+  static obs::Stage& s = obs::stage("memtrack.arm", obs::TraceCat::kMemtrack);
+  return s;
+}
+inline obs::Stage& collect_stage() {
+  static obs::Stage& s =
+      obs::stage("memtrack.collect", obs::TraceCat::kMemtrack);
+  return s;
+}
+
+}  // namespace detail
 
 }  // namespace ickpt::memtrack

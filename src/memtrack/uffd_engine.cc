@@ -217,6 +217,7 @@ Status UffdEngine::detach(RegionId id) {
 
 Status UffdEngine::arm() {
   std::lock_guard<std::mutex> lock(mu_);
+  auto scope = detail::arm_stage().begin();
   for (auto& [id, r] : regions_) {
     r.bitmap->clear();
     ICKPT_RETURN_IF_ERROR(write_protect(r.range, true));
@@ -228,6 +229,7 @@ Status UffdEngine::arm() {
 
 Result<DirtySnapshot> UffdEngine::collect(bool rearm) {
   std::lock_guard<std::mutex> lock(mu_);
+  auto scope = detail::collect_stage().begin();
   DirtySnapshot snap;
   snap.regions.reserve(regions_.size());
   for (auto& [id, r] : regions_) {

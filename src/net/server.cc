@@ -18,13 +18,15 @@
 
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace ickpt::net {
 
 namespace {
 
-/// Registry-owned net.* metrics (immortal, lock-free to record).
+/// Registry-owned net.* metrics (immortal, lock-free to record).  One
+/// stage per request verb: begin at the request frame, end once the
+/// response (or the last body byte) is queued.
 struct NetMetrics {
   obs::Counter& accepted;
   obs::Gauge& open;
@@ -38,11 +40,11 @@ struct NetMetrics {
   obs::Counter& req_list;
   obs::Counter& req_delete;
   obs::Counter& req_stat;
-  obs::Histogram& put_ns;
-  obs::Histogram& get_ns;
-  obs::Histogram& list_ns;
-  obs::Histogram& delete_ns;
-  obs::Histogram& stat_ns;
+  obs::Stage& put_stage;
+  obs::Stage& get_stage;
+  obs::Stage& list_stage;
+  obs::Stage& delete_stage;
+  obs::Stage& stat_stage;
 
   static NetMetrics& get() {
     auto& r = obs::registry();
@@ -59,34 +61,13 @@ struct NetMetrics {
         r.counter("net.req_list"),
         r.counter("net.req_delete"),
         r.counter("net.req_stat"),
-        r.histogram("net.put_ns"),
-        r.histogram("net.get_ns"),
-        r.histogram("net.list_ns"),
-        r.histogram("net.delete_ns"),
-        r.histogram("net.stat_ns"),
+        obs::stage("net.put", obs::TraceCat::kNet),
+        obs::stage("net.get", obs::TraceCat::kNet),
+        obs::stage("net.list", obs::TraceCat::kNet),
+        obs::stage("net.delete", obs::TraceCat::kNet),
+        obs::stage("net.stat", obs::TraceCat::kNet),
     };
     return m;
-  }
-};
-
-/// Interned span names: one span per request, begin at the request
-/// frame, end when the response (or the last body byte) is queued.
-struct NetTrace {
-  std::uint16_t t_put;
-  std::uint16_t t_get;
-  std::uint16_t t_list;
-  std::uint16_t t_delete;
-  std::uint16_t t_stat;
-
-  static NetTrace& get() {
-    static NetTrace t{
-        obs::trace_name("net.put", obs::TraceCat::kNet),
-        obs::trace_name("net.get", obs::TraceCat::kNet),
-        obs::trace_name("net.list", obs::TraceCat::kNet),
-        obs::trace_name("net.delete", obs::TraceCat::kNet),
-        obs::trace_name("net.stat", obs::TraceCat::kNet),
-    };
-    return t;
   }
 };
 
@@ -119,7 +100,7 @@ struct Conn {
 
   // Streaming PUT in flight.
   std::unique_ptr<storage::Writer> put_writer;
-  std::uint64_t put_t0 = 0;
+  obs::Stage::Scope put_scope;
 
   // Streaming GET in flight.
   std::unique_ptr<storage::Reader> get_reader;
@@ -127,9 +108,16 @@ struct Conn {
   std::uint64_t get_next = 0;   ///< next offset (ranged mode)
   std::uint64_t get_left = 0;   ///< bytes still to send
   std::uint64_t get_sent = 0;
-  std::uint64_t get_t0 = 0;
+  obs::Stage::Scope get_scope;
 
   std::uint64_t last_active_ns = 0;
+
+  // A connection dropped or reaped mid-request closes the request's
+  // span without timing it, so the trace never keeps an orphan begin.
+  ~Conn() {
+    put_scope.cancel();
+    get_scope.cancel();
+  }
 
   bool get_active() const noexcept { return get_reader != nullptr; }
 };
@@ -380,6 +368,7 @@ class Server::Impl {
   bool handle_frame(Conn* conn, const FrameHeader& header,
                     std::span<const std::byte> payload) {
     auto& m = NetMetrics::get();
+    const auto fd = static_cast<std::uint64_t>(conn->fd);  // span arg
     // While a GET body is streaming the client must wait for
     // DATA_END; anything else would interleave two responses.
     if (conn->get_active()) {
@@ -435,18 +424,16 @@ class Server::Impl {
                                        key.status().message());
           return true;
         }
-        obs::trace_emit(NetTrace::get().t_put, obs::TracePhase::kBegin,
-                        static_cast<std::uint64_t>(conn->fd));
+        conn->put_scope = m.put_stage.begin(fd);
         auto writer = backend_.create(conn->prefix + *key);
         if (!writer.is_ok()) {
-          obs::trace_emit(NetTrace::get().t_put, obs::TracePhase::kEnd);
+          conn->put_scope.cancel();
           // The client streams data without waiting for an ack, so the
           // frames already in flight have nowhere to go: hang up.
           conn->want_close = true;
           return send_err(conn, writer.status());
         }
         conn->put_writer = std::move(writer.value());
-        conn->put_t0 = obs::now_ns();
         return true;  // no ack until PUT_END: data frames stream next
       }
 
@@ -461,7 +448,7 @@ class Server::Impl {
           // Backend failure mid-stream: abort the object, report, and
           // close — the client's remaining chunks have nowhere to go.
           conn->put_writer.reset();
-          obs::trace_emit(NetTrace::get().t_put, obs::TracePhase::kEnd);
+          conn->put_scope.cancel();
           conn->want_close = true;
           return send_err(conn, st);
         }
@@ -477,11 +464,7 @@ class Server::Impl {
         const std::uint64_t bytes = conn->put_writer->bytes_written();
         auto st = conn->put_writer->close();
         conn->put_writer.reset();
-        obs::trace_emit(NetTrace::get().t_put, obs::TracePhase::kEnd,
-                        static_cast<std::uint64_t>(conn->fd), bytes);
-        if (obs::enabled()) {
-          m.put_ns.record(obs::now_ns() - conn->put_t0);
-        }
+        conn->put_scope.end(fd, bytes);
         if (!st.is_ok()) return send_err(conn, st);
         return send_frame(conn, Verb::kOk, {});
       }
@@ -493,7 +476,7 @@ class Server::Impl {
           return true;
         }
         conn->put_writer.reset();  // destroy unclosed = abort + discard
-        obs::trace_emit(NetTrace::get().t_put, obs::TracePhase::kEnd);
+        conn->put_scope.cancel();
         return send_frame(conn, Verb::kOk, {});
       }
 
@@ -506,11 +489,10 @@ class Server::Impl {
                                      : msg.status().message());
           return true;
         }
-        obs::trace_emit(NetTrace::get().t_get, obs::TracePhase::kBegin,
-                        static_cast<std::uint64_t>(conn->fd));
+        conn->get_scope = m.get_stage.begin(fd);
         auto reader = backend_.open(conn->prefix + msg->key);
         if (!reader.is_ok()) {
-          obs::trace_emit(NetTrace::get().t_get, obs::TracePhase::kEnd);
+          conn->get_scope.cancel();
           return send_err(conn, reader.status());
         }
         conn->get_reader = std::move(reader.value());
@@ -522,10 +504,9 @@ class Server::Impl {
         conn->get_left =
             msg->length == kWholeObject ? past : std::min(msg->length, past);
         conn->get_sent = 0;
-        conn->get_t0 = obs::now_ns();
         if (conn->get_ranged && !conn->get_reader->supports_read_at()) {
           conn->get_reader.reset();
-          obs::trace_emit(NetTrace::get().t_get, obs::TracePhase::kEnd);
+          conn->get_scope.cancel();
           return send_err(conn,
                           unsupported("backend cannot serve byte ranges"));
         }
@@ -534,9 +515,7 @@ class Server::Impl {
 
       case Verb::kList: {
         m.req_list.inc();
-        obs::TraceSpan span(NetTrace::get().t_list,
-                            static_cast<std::uint64_t>(conn->fd));
-        const std::uint64_t t0 = obs::now_ns();
+        auto scope = m.list_stage.begin(fd);
         auto keys = backend_.list();
         if (!keys.is_ok()) return send_err(conn, keys.status());
         std::vector<std::string> visible;
@@ -551,15 +530,12 @@ class Server::Impl {
               conn, Status(ErrorCode::kResourceExhausted,
                            "listing exceeds the 1 MiB frame cap"));
         }
-        if (obs::enabled()) m.list_ns.record(obs::now_ns() - t0);
         return send_frame(conn, Verb::kListOk, reply);
       }
 
       case Verb::kDelete: {
         m.req_delete.inc();
-        obs::TraceSpan span(NetTrace::get().t_delete,
-                            static_cast<std::uint64_t>(conn->fd));
-        const std::uint64_t t0 = obs::now_ns();
+        auto scope = m.delete_stage.begin(fd);
         auto key = parse_key_only(payload);
         if (!key.is_ok() || !valid_key(*key)) {
           protocol_error(conn, ErrorCode::kInvalidArgument,
@@ -568,16 +544,13 @@ class Server::Impl {
           return true;
         }
         auto st = backend_.remove(conn->prefix + *key);
-        if (obs::enabled()) m.delete_ns.record(obs::now_ns() - t0);
         if (!st.is_ok()) return send_err(conn, st);
         return send_frame(conn, Verb::kOk, {});
       }
 
       case Verb::kStat: {
         m.req_stat.inc();
-        obs::TraceSpan span(NetTrace::get().t_stat,
-                            static_cast<std::uint64_t>(conn->fd));
-        const std::uint64_t t0 = obs::now_ns();
+        auto scope = m.stat_stage.begin(fd);
         auto key = parse_key_only(payload);
         if (!key.is_ok() || !valid_key(*key)) {
           protocol_error(conn, ErrorCode::kInvalidArgument,
@@ -586,7 +559,6 @@ class Server::Impl {
           return true;
         }
         auto reader = backend_.open(conn->prefix + *key);
-        if (obs::enabled()) m.stat_ns.record(obs::now_ns() - t0);
         if (!reader.is_ok()) return send_err(conn, reader.status());
         return send_frame(conn, Verb::kStatOk,
                           build_stat_ok((*reader)->size()));
@@ -634,11 +606,8 @@ class Server::Impl {
 
   /// Close out a GET stream: DATA_END on success, ERR on failure.
   bool finish_get(Conn* conn, const Status& st) {
-    auto& m = NetMetrics::get();
     conn->get_reader.reset();
-    obs::trace_emit(NetTrace::get().t_get, obs::TracePhase::kEnd,
-                    static_cast<std::uint64_t>(conn->fd), conn->get_sent);
-    if (obs::enabled()) m.get_ns.record(obs::now_ns() - conn->get_t0);
+    conn->get_scope.end(static_cast<std::uint64_t>(conn->fd), conn->get_sent);
     if (!st.is_ok()) {
       // Mid-stream failure: the client has partial DATA, so the
       // stream cannot be completed coherently — report and hang up.

@@ -13,9 +13,9 @@
 //   * Metric objects are never destroyed once registered; handles stay
 //     valid for the life of the process.
 //
-// Recording can be globally disabled (set_enabled(false)); scoped
-// timers then skip the clock reads entirely, so compiled-in-but-idle
-// instrumentation costs one predictable branch.
+// Recording can be globally disabled (set_enabled(false)); stage
+// scopes (obs/stage.h) then skip the clock reads entirely, so
+// compiled-in-but-idle instrumentation costs one predictable branch.
 #pragma once
 
 #include <atomic>
@@ -207,7 +207,7 @@ struct Snapshot {
 };
 
 /// Process-wide metric registry.  Lookup is by dotted name
-/// ("ckpt.encode_ns"); the first lookup creates the metric, later
+/// ("ckpt.plan_ns"); the first lookup creates the metric, later
 /// lookups return the same object.
 ///
 /// Storage is a fixed-capacity pointer array per metric kind with an

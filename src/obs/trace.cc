@@ -7,7 +7,6 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <mutex>
 
 #include "obs/metrics.h"
@@ -58,62 +57,62 @@ std::size_t round_up_pow2(std::size_t v) {
 
 // -------------------------------------------------------- tick timestamps
 //
-// The emit path stores a raw cycle-counter read; conversion to
-// nanoseconds happens once per event at *read* time through an affine
-// map calibrated against the monotonic clock.  This keeps the hot path
-// free of clock_gettime entirely (a vDSO clock read costs more than
-// the rest of the emit put together) and drops the per-fault tracing
-// tax under the intrusiveness budget of §6.5.
-
-#if defined(__x86_64__) || defined(__i386__)
-std::uint64_t fast_ticks() noexcept { return __builtin_ia32_rdtsc(); }
-#elif defined(__aarch64__)
-std::uint64_t fast_ticks() noexcept {
-  std::uint64_t v;
-  asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-  return v;
-}
-#else
-std::uint64_t fast_ticks() noexcept { return now_ns(); }
-#endif
+// The emit path stores a raw ticks() read; conversion to nanoseconds
+// happens at *read* time (and, for stage durations, once per scope
+// end) through an affine map calibrated against the monotonic clock.
+// This keeps the hot path free of clock_gettime entirely (a vDSO clock
+// read costs more than the rest of the emit put together) and drops
+// the per-fault tracing tax under the intrusiveness budget of §6.5.
 
 std::atomic<std::uint64_t> g_cal_ticks0{0};
 std::atomic<std::uint64_t> g_cal_ns0{0};
 std::atomic<std::uint64_t> g_cal_scale_bits{0};  ///< double ns/tick; 0=unset
 
-/// Pin the calibration origin (first caller wins).
+/// Nanoseconds per tick, or 0 before calibrate_ticks().  Until the
+/// baseline reaches 1 ms the slope is re-measured (one clock read) on
+/// every call; from then on it is cached.  Async-signal-safe.
+double ns_per_tick() noexcept {
+  const std::uint64_t bits = g_cal_scale_bits.load(std::memory_order_relaxed);
+  if (bits != 0) return std::bit_cast<double>(bits);
+  const std::uint64_t t0 = g_cal_ticks0.load(std::memory_order_acquire);
+  const std::uint64_t n0 = g_cal_ns0.load(std::memory_order_acquire);
+  const std::uint64_t t1 = ticks();
+  const std::uint64_t n1 = now_ns();
+  if (t0 == 0 || n0 == 0 || t1 <= t0 || n1 <= n0) return 0;
+  const double scale =
+      static_cast<double>(n1 - n0) / static_cast<double>(t1 - t0);
+  if (n1 - n0 > 1'000'000) {  // >= 1 ms baseline: cache the slope
+    g_cal_scale_bits.store(std::bit_cast<std::uint64_t>(scale),
+                           std::memory_order_relaxed);
+  }
+  return scale;
+}
+
+}  // namespace
+
 void calibrate_ticks() noexcept {
   std::uint64_t expected = 0;
-  const std::uint64_t t = fast_ticks();
+  const std::uint64_t t = ticks();
   if (g_cal_ticks0.compare_exchange_strong(expected, t,
                                            std::memory_order_acq_rel)) {
     g_cal_ns0.store(now_ns(), std::memory_order_release);
   }
 }
 
-/// Map a raw tick value to nanoseconds.  Async-signal-safe: atomics,
-/// double arithmetic and (until the scale is cached) one clock read.
-std::uint64_t ticks_to_ns(std::uint64_t ticks) noexcept {
+std::uint64_t ticks_elapsed_ns(std::uint64_t t0, std::uint64_t t1) noexcept {
+  if (t1 <= t0) return 0;
+  const double scale = ns_per_tick();
+  if (scale == 0) return t1 - t0;  // never calibrated: raw ticks
+  return static_cast<std::uint64_t>(static_cast<double>(t1 - t0) * scale);
+}
+
+namespace {
+
+/// Map a raw tick value to monotonic nanoseconds.  Async-signal-safe.
+std::uint64_t ticks_to_ns(std::uint64_t t) noexcept {
   const std::uint64_t t0 = g_cal_ticks0.load(std::memory_order_acquire);
-  const std::uint64_t n0 = g_cal_ns0.load(std::memory_order_acquire);
-  if (t0 == 0) return ticks;  // never calibrated: raw ticks beat nothing
-  double scale;
-  const std::uint64_t bits = g_cal_scale_bits.load(std::memory_order_relaxed);
-  if (bits != 0) {
-    scale = std::bit_cast<double>(bits);
-  } else {
-    const std::uint64_t t1 = fast_ticks();
-    const std::uint64_t n1 = now_ns();
-    if (t1 <= t0 || n1 <= n0) return n0;
-    scale = static_cast<double>(n1 - n0) / static_cast<double>(t1 - t0);
-    if (n1 - n0 > 1'000'000) {  // >= 1 ms baseline: cache the slope
-      g_cal_scale_bits.store(std::bit_cast<std::uint64_t>(scale),
-                             std::memory_order_relaxed);
-    }
-  }
-  const double delta =
-      ticks >= t0 ? static_cast<double>(ticks - t0) * scale : 0.0;
-  return n0 + static_cast<std::uint64_t>(delta);
+  if (t0 == 0) return t;  // never calibrated: raw ticks beat nothing
+  return g_cal_ns0.load(std::memory_order_acquire) + ticks_elapsed_ns(t0, t);
 }
 
 }  // namespace
@@ -172,14 +171,15 @@ TraceRing::TraceRing(std::size_t capacity) {
 
 TraceRing::~TraceRing() { delete[] slots_; }
 
-void TraceRing::emit(std::uint16_t name_id, TracePhase phase,
-                     std::uint64_t arg0, std::uint64_t arg1) noexcept {
+void TraceRing::emit(std::uint64_t ts, std::uint16_t name_id,
+                     TracePhase phase, std::uint64_t arg0,
+                     std::uint64_t arg1) noexcept {
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[seq & mask_];
   // Invalidate, fill, publish.  A reader that overlaps any of this
   // sees pub change (or 0) and skips the slot.
   s.pub.store(0, std::memory_order_release);
-  s.ts.store(fast_ticks(), std::memory_order_relaxed);
+  s.ts.store(ts, std::memory_order_relaxed);
   s.meta.store(pack_meta(self_tid(), name_id, phase),
                std::memory_order_relaxed);
   s.arg0.store(arg0, std::memory_order_relaxed);
@@ -265,52 +265,7 @@ TraceRing* trace_ring() noexcept {
   return g_ring.load(std::memory_order_acquire);
 }
 
-void trace_emit(std::uint16_t name_id, TracePhase phase, std::uint64_t arg0,
-                std::uint64_t arg1) noexcept {
-  if (!tracing()) return;
-  TraceRing* ring = g_ring.load(std::memory_order_acquire);
-  if (ring != nullptr) ring->emit(name_id, phase, arg0, arg1);
-}
-
 // --------------------------------------------------------------- exports
-
-std::vector<SpanRollup> rollup_spans(const std::vector<TraceEvent>& events) {
-  struct Open {
-    std::uint32_t tid;
-    std::uint16_t name_id;
-    std::uint64_t ts_ns;
-  };
-  std::vector<Open> stack;
-  struct Agg {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-  };
-  std::map<std::string, Agg> agg;
-  for (const TraceEvent& e : events) {
-    if (e.phase == TracePhase::kBegin) {
-      stack.push_back({e.tid, e.name_id, e.ts_ns});
-    } else if (e.phase == TracePhase::kEnd) {
-      // Match the innermost open begin of the same thread and name
-      // (spans nest per thread; wraparound can orphan begins).
-      for (std::size_t i = stack.size(); i > 0; --i) {
-        Open& o = stack[i - 1];
-        if (o.tid == e.tid && o.name_id == e.name_id) {
-          Agg& a = agg[std::string(trace_name_string(e.name_id))];
-          a.count += 1;
-          a.total_ns += e.ts_ns >= o.ts_ns ? e.ts_ns - o.ts_ns : 0;
-          stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(i - 1));
-          break;
-        }
-      }
-    }
-  }
-  std::vector<SpanRollup> out;
-  out.reserve(agg.size());
-  for (const auto& [name, a] : agg) {
-    out.push_back(SpanRollup{name, a.count, a.total_ns});
-  }
-  return out;
-}
 
 std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   std::string out;

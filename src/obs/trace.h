@@ -4,17 +4,18 @@
 // metrics registry only keeps aggregates.
 //
 // Model: begin/end span pairs plus instant events, each carrying a
-// monotonic timestamp, the emitting thread id, an interned name id and
-// two u64 arguments.  Events land in a ring that overwrites the oldest
-// entry when full, so tracing never blocks, never allocates on the hot
-// path and always holds the most recent history (which is exactly what
-// the crash flight recorder wants).
+// tick-clock timestamp, the emitting thread id, an interned name id
+// and two u64 arguments.  Events land in a ring that overwrites the
+// oldest entry when full, so tracing never blocks, never allocates on
+// the hot path and always holds the most recent history (which is
+// exactly what the crash flight recorder wants).  Spans come from
+// obs::Stage scopes (obs/stage.h).
 //
 // Signal-safety contract (extends obs/metrics.h §9):
 //   * trace_name() interns a name: takes a mutex, allocates.  Normal
 //     threads only, typically once at startup next to the metric
 //     handles.
-//   * emit()/TraceSpan/trace_instant perform only relaxed/release
+//   * ticks(), emit() and trace_instant perform only relaxed/release
 //     atomic stores into pre-allocated slots plus one cycle-counter
 //     read (rdtsc/cntvct; converted to nanoseconds at read time).  No
 //     locks, no allocation, no syscalls after the first per-thread tid
@@ -26,8 +27,7 @@
 //
 // Export: chrome_trace_json() renders events in the Chrome trace-event
 // format ("B"/"E"/"i" phases), loadable in chrome://tracing and
-// Perfetto (ui.perfetto.dev).  rollup_spans() pairs begin/end events
-// into per-name totals for machine-readable bench records.
+// Perfetto (ui.perfetto.dev).
 #pragma once
 
 #include <atomic>
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 
 namespace ickpt::obs {
 
@@ -73,10 +74,32 @@ std::uint16_t trace_name(std::string_view name,
 std::string_view trace_name_string(std::uint16_t id) noexcept;
 TraceCat trace_name_cat(std::uint16_t id) noexcept;
 
+/// The tick clock every trace timestamp and stage duration is read
+/// from: one raw cycle-counter read (rdtsc / cntvct_el0; monotonic
+/// nanoseconds on other targets).  Async-signal-safe.
+inline std::uint64_t ticks() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_ia32_rdtsc();
+#elif defined(__aarch64__)
+  std::uint64_t v;
+  asm volatile("mrs %0, cntvct_el0" : "=r"(v));
+  return v;
+#else
+  return now_ns();
+#endif
+}
+
+/// Pin the origin that maps ticks to the monotonic clock (first call
+/// wins).  obs::stage() and start_tracing() call it.
+void calibrate_ticks() noexcept;
+
+/// Nanoseconds between two ticks() readings.  Async-signal-safe.
+std::uint64_t ticks_elapsed_ns(std::uint64_t t0, std::uint64_t t1) noexcept;
+
 /// A decoded event, as copied out of the ring.
 struct TraceEvent {
   std::uint64_t seq = 0;    ///< global claim order (chronological)
-  std::uint64_t ts_ns = 0;  ///< monotonic ns (cycle count at emit,
+  std::uint64_t ts_ns = 0;  ///< monotonic ns (ticks() at emit,
                             ///< calibrated to now_ns() at read time)
   std::uint32_t tid = 0;    ///< kernel thread id
   std::uint16_t name_id = 0;
@@ -101,9 +124,10 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Record one event.  Async-signal-safe, wait-free, never fails.
-  void emit(std::uint16_t name_id, TracePhase phase, std::uint64_t arg0 = 0,
-            std::uint64_t arg1 = 0) noexcept;
+  /// Record one event stamped `ts` (a ticks() reading).
+  /// Async-signal-safe, wait-free, never fails.
+  void emit(std::uint64_t ts, std::uint16_t name_id, TracePhase phase,
+            std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) noexcept;
 
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
@@ -164,52 +188,15 @@ void stop_tracing() noexcept;
 /// The process ring, or nullptr before the first start_tracing().
 TraceRing* trace_ring() noexcept;
 
-/// Emit into the process ring if tracing is on.  Async-signal-safe.
-void trace_emit(std::uint16_t name_id, TracePhase phase,
-                std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) noexcept;
-
+/// Emit an instant into the process ring if tracing is on.
+/// Async-signal-safe.
 inline void trace_instant(std::uint16_t name_id, std::uint64_t arg0 = 0,
                           std::uint64_t arg1 = 0) noexcept {
-  if (tracing()) trace_emit(name_id, TracePhase::kInstant, arg0, arg1);
+  TraceRing* ring = tracing() ? trace_ring() : nullptr;
+  if (ring != nullptr) {
+    ring->emit(ticks(), name_id, TracePhase::kInstant, arg0, arg1);
+  }
 }
-
-/// RAII begin/end span over the process ring.  When tracing is off at
-/// construction the destructor does nothing (one branch each way).
-class TraceSpan {
- public:
-  explicit TraceSpan(std::uint16_t name_id, std::uint64_t arg0 = 0,
-                     std::uint64_t arg1 = 0) noexcept
-      : id_(tracing() ? name_id : 0) {
-    if (id_ != 0) trace_emit(id_, TracePhase::kBegin, arg0, arg1);
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  ~TraceSpan() { end(); }
-
-  /// Close the span now (idempotent); arg0/arg1 ride on the end event.
-  void end(std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) noexcept {
-    if (id_ != 0) {
-      trace_emit(id_, TracePhase::kEnd, arg0, arg1);
-      id_ = 0;
-    }
-  }
-
- private:
-  std::uint16_t id_;
-};
-
-/// Aggregate of all completed begin/end pairs of one name.
-struct SpanRollup {
-  std::string name;
-  std::uint64_t count = 0;     ///< completed spans
-  std::uint64_t total_ns = 0;  ///< summed durations
-};
-
-/// Pair begin/end events (per-thread stacks, chronological order) into
-/// per-name totals, sorted by name.  Unmatched begins/ends are ignored.
-std::vector<SpanRollup> rollup_spans(const std::vector<TraceEvent>& events);
 
 /// Render events as a Chrome trace-event JSON document (an object with
 /// a "traceEvents" array; timestamps in microseconds), loadable in

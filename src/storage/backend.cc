@@ -18,8 +18,7 @@
 
 #include "common/io_util.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace ickpt::storage {
 
@@ -29,20 +28,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Durable-publish observability, shared by every backend that syncs:
-/// fsync/fdatasync syscalls issued and the wall time one publish
-/// spends waiting on the device.
+/// Durable-publish observability, shared by every backend that syncs
+/// (obs::stage returns the segment backend the same stage object):
+/// fsync/fdatasync syscalls issued and one publish's wait on the device.
 struct SyncMetrics {
   obs::Counter& fsync_calls;
-  obs::Histogram& publish_sync_ns;
-  std::uint16_t span;
+  obs::Stage& publish_sync;
 
   static SyncMetrics& get() {
-    auto& r = obs::registry();
     static SyncMetrics m{
-        r.counter("storage.fsync_calls"),
-        r.histogram("storage.publish_sync_ns"),
-        obs::trace_name("ckpt.publish_sync", obs::TraceCat::kStorage)};
+        obs::registry().counter("storage.fsync_calls"),
+        obs::stage("ckpt.publish_sync", obs::TraceCat::kStorage)};
     return m;
   }
 };
@@ -85,8 +81,7 @@ Status sync_parent_dir(const fs::path& child) {
 /// journal).  `fd` must still be open on the tmp file when durable.
 Status publish_file(int fd, const fs::path& tmp, const fs::path& final_path,
                     bool durable) {
-  obs::ScopedTimer timer(SyncMetrics::get().publish_sync_ns);
-  obs::TraceSpan span(SyncMetrics::get().span);
+  auto scope = SyncMetrics::get().publish_sync.begin();
   const Status sync_st =
       durable ? synced_fdatasync(fd, tmp) : Status::ok();
   const int close_rc = ::close(fd);  // fd is consumed on every path
@@ -99,7 +94,7 @@ Status publish_file(int fd, const fs::path& tmp, const fs::path& final_path,
   if (ec) return io_error("rename failed: " + ec.message());
   if (durable) ICKPT_RETURN_IF_ERROR(sync_parent_dir(final_path));
   if (!durable) {
-    timer.cancel();  // nothing was synced; keep the histogram honest
+    scope.cancel();  // nothing was synced; keep the histogram honest
   }
   return Status::ok();
 }
@@ -543,14 +538,16 @@ double ThrottledBackend::modeled_seconds() const noexcept {
 class MeteredBackend::MeteredWriter final : public Writer {
  public:
   MeteredWriter(std::unique_ptr<Writer> inner, obs::Counter& objects,
-                obs::Counter& bytes, obs::Histogram& write_ns,
+                obs::Counter& bytes, const obs::Stage& write,
                 obs::Histogram& object_bytes)
       : inner_(std::move(inner)),
         objects_(objects),
         bytes_(bytes),
-        write_ns_(write_ns),
         object_bytes_(object_bytes),
-        start_ns_(obs::now_ns()) {}
+        scope_(write.begin()) {}
+
+  // An unclosed or failed writer records no latency.
+  ~MeteredWriter() override { scope_.cancel(); }
 
   Status write(std::span<const std::byte> data) override {
     return inner_->write(data);
@@ -561,10 +558,8 @@ class MeteredBackend::MeteredWriter final : public Writer {
     const std::uint64_t n = inner_->bytes_written();
     objects_.inc();
     bytes_.inc(n);
-    if (obs::enabled()) {
-      write_ns_.record(obs::now_ns() - start_ns_);
-      object_bytes_.record(n);
-    }
+    scope_.end(n);
+    if (obs::enabled()) object_bytes_.record(n);
     return Status::ok();
   }
 
@@ -576,9 +571,8 @@ class MeteredBackend::MeteredWriter final : public Writer {
   std::unique_ptr<Writer> inner_;
   obs::Counter& objects_;
   obs::Counter& bytes_;
-  obs::Histogram& write_ns_;
   obs::Histogram& object_bytes_;
-  std::uint64_t start_ns_;
+  obs::Stage::Scope scope_;
 };
 
 MeteredBackend::MeteredBackend(StorageBackend& inner,
@@ -586,7 +580,7 @@ MeteredBackend::MeteredBackend(StorageBackend& inner,
     : inner_(inner),
       objects_(obs::registry().counter(prefix + ".objects")),
       bytes_(obs::registry().counter(prefix + ".bytes")),
-      write_ns_(obs::registry().histogram(prefix + ".write_ns")),
+      write_(obs::stage(prefix + ".write", obs::TraceCat::kStorage)),
       object_bytes_(obs::registry().histogram(prefix + ".object_bytes",
                                               obs::Unit::kBytes)) {}
 
@@ -595,7 +589,7 @@ Result<std::unique_ptr<Writer>> MeteredBackend::create(
   auto w = inner_.create(key);
   if (!w.is_ok()) return w.status();
   return std::unique_ptr<Writer>(new MeteredWriter(
-      std::move(w.value()), objects_, bytes_, write_ns_, object_bytes_));
+      std::move(w.value()), objects_, bytes_, write_, object_bytes_));
 }
 Result<std::unique_ptr<Reader>> MeteredBackend::open(const std::string& key) {
   return inner_.open(key);

@@ -21,6 +21,7 @@
 namespace ickpt::obs {
 class Counter;
 class Histogram;
+class Stage;
 }  // namespace ickpt::obs
 
 namespace ickpt::storage {
@@ -98,9 +99,9 @@ struct FileBackendOptions {
   /// returned close() survives power loss — never a visible-but-empty
   /// or lost object.  The rename alone orders visibility only within a
   /// running kernel.  Costs two device syncs per object (counted in
-  /// storage.fsync_calls, timed in storage.publish_sync_ns, spanned as
-  /// ckpt.publish_sync); turn off only for stores whose loss is
-  /// acceptable (bench scratch, caches).
+  /// storage.fsync_calls, timed by the ckpt.publish_sync stage); turn
+  /// off only for stores whose loss is acceptable (bench scratch,
+  /// caches).
   bool durable_publish = true;
 };
 
@@ -147,10 +148,11 @@ class ThrottledBackend : public StorageBackend {
 
 /// Decorator: publishes per-object write metrics to the process-wide
 /// obs registry under `prefix` — "<prefix>.objects" / "<prefix>.bytes"
-/// counters, a "<prefix>.write_ns" latency histogram (create() to
-/// close(), as seen by the writing thread) and a "<prefix>.object_bytes"
-/// size histogram.  Pure pass-through otherwise; the decorated backend
-/// must outlive the decorator.
+/// counters, a "<prefix>.write" stage (create() to a successful
+/// close(), as seen by the writing thread; histogram
+/// "<prefix>.write_ns") and a "<prefix>.object_bytes" size histogram.
+/// Pure pass-through otherwise; the decorated backend must outlive the
+/// decorator.
 class MeteredBackend : public StorageBackend {
  public:
   explicit MeteredBackend(StorageBackend& inner,
@@ -169,7 +171,7 @@ class MeteredBackend : public StorageBackend {
   // Registry-owned metric objects; immortal, so writers may hold them.
   obs::Counter& objects_;
   obs::Counter& bytes_;
-  obs::Histogram& write_ns_;
+  obs::Stage& write_;
   obs::Histogram& object_bytes_;
 };
 

@@ -18,8 +18,7 @@
 #include "common/io_util.h"
 #include "common/page.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace ickpt::storage {
 
@@ -106,23 +105,21 @@ std::uint32_t header_crc(const RecordHeader& h, std::string_view key) {
 
 struct SegmentMetrics {
   obs::Counter& fsync_calls;
-  obs::Histogram& publish_sync_ns;
+  obs::Stage& publish_sync;  ///< the file backend's stage, by name
   obs::Counter& appends;
   obs::Counter& seals;
   obs::Counter& compactions;
   obs::Counter& torn_records;
-  std::uint16_t publish_span;
 
   static SegmentMetrics& get() {
     auto& r = obs::registry();
     static SegmentMetrics m{
         r.counter("storage.fsync_calls"),
-        r.histogram("storage.publish_sync_ns"),
+        obs::stage("ckpt.publish_sync", obs::TraceCat::kStorage),
         r.counter("storage.segment_appends"),
         r.counter("storage.segment_seals"),
         r.counter("storage.segment_compactions"),
-        r.counter("storage.segment_torn_records"),
-        obs::trace_name("ckpt.publish_sync", obs::TraceCat::kStorage)};
+        r.counter("storage.segment_torn_records")};
     return m;
   }
 };
@@ -403,8 +400,7 @@ class SegmentBackendImpl final : public SegmentBackend {
   Status sync_active_locked() {
     if (!unsynced_ || active_ == nullptr) return Status::ok();
     auto& m = SegmentMetrics::get();
-    obs::ScopedTimer timer(m.publish_sync_ns);
-    obs::TraceSpan span(m.publish_span);
+    auto scope = m.publish_sync.begin();
     m.fsync_calls.inc();
     if (::fdatasync(active_->fd) != 0) {
       return io_error("fdatasync failed: " + active_->path.string());

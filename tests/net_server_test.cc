@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "net/remote_backend.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/backend.h"
 
 namespace ickpt::net {
@@ -267,6 +269,74 @@ TEST_F(NetServerTest, ClientDropMidPutNeverPublishes) {
   auto listed = backend_->list();
   ASSERT_TRUE(listed.is_ok());
   EXPECT_TRUE(listed->empty());
+}
+
+TEST_F(NetServerTest, DroppedConnectionsCloseTheirRequestSpans) {
+  ServerOptions options;
+  options.max_inflight_bytes = 64 * 1024;  // a GET pauses almost at once
+  options.idle_timeout_s = 0.3;
+  start(options);
+  // Far more than the loopback socket buffers hold, so the GET below is
+  // paused on backpressure when its client vanishes.
+  const auto payload = pattern_bytes(16u << 20, 11);
+  {
+    auto w = backend_->create("tenant/t/big");
+    ASSERT_TRUE(w.is_ok());
+    ASSERT_TRUE((*w)->write(payload).is_ok());
+    ASSERT_TRUE((*w)->close().is_ok());
+  }
+
+  obs::start_tracing();
+  const std::uint64_t seq0 = obs::trace_ring()->emitted();
+  {  // Drop mid-PUT.
+    RawClient client;
+    ASSERT_TRUE(client.connect_to(server_->port()));
+    ASSERT_TRUE(client.hello().is_ok());
+    ASSERT_TRUE(
+        client.send_frame(Verb::kPutBegin, build_key_only("torn")).is_ok());
+    ASSERT_TRUE(client.send_frame(Verb::kPutData, pattern_bytes(4096, 12))
+                    .is_ok());
+  }
+  {  // Drop mid-GET, with the stream paused on backpressure.
+    RawClient client;
+    ASSERT_TRUE(client.connect_to(server_->port()));
+    ASSERT_TRUE(client.hello().is_ok());
+    ASSERT_TRUE(client.send_frame(Verb::kGet, build_get({"big"})).is_ok());
+    auto first = client.recv_frame();
+    ASSERT_TRUE(first.is_ok());
+    EXPECT_EQ(first->header.verb, Verb::kData);
+  }
+  // Go silent mid-PUT until the server reaps the connection.
+  RawClient idle;
+  ASSERT_TRUE(idle.connect_to(server_->port()));
+  ASSERT_TRUE(idle.hello().is_ok());
+  ASSERT_TRUE(
+      idle.send_frame(Verb::kPutBegin, build_key_only("stale")).is_ok());
+  ASSERT_TRUE(eventually([&] { return server_->open_connections() == 0; }));
+  obs::stop_tracing();
+
+  // Every net.put / net.get begin has an end on the same thread.
+  const std::uint16_t put = obs::trace_name("net.put");
+  const std::uint16_t get = obs::trace_name("net.get");
+  std::map<std::pair<std::uint32_t, std::uint16_t>, int> open;
+  int begins = 0;
+  for (const auto& e : obs::trace_ring()->snapshot()) {
+    if (e.seq < seq0 || (e.name_id != put && e.name_id != get)) continue;
+    if (e.phase == obs::TracePhase::kBegin) {
+      ++open[{e.tid, e.name_id}];
+      ++begins;
+    } else if (e.phase == obs::TracePhase::kEnd) {
+      --open[{e.tid, e.name_id}];
+    }
+  }
+  EXPECT_EQ(begins, 3);
+  for (const auto& [key, n] : open) {
+    EXPECT_EQ(n, 0) << obs::trace_name_string(key.second) << " on tid "
+                    << key.first;
+  }
+  auto listed = backend_->list();
+  ASSERT_TRUE(listed.is_ok());
+  EXPECT_EQ(listed->size(), 1u);  // only "big": no torn PUT published
 }
 
 TEST_F(NetServerTest, TenantsAreIsolated) {

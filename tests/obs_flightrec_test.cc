@@ -20,7 +20,7 @@
 #include "memtrack/explicit_engine.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
 #include "tests/json_test_util.h"
@@ -94,13 +94,13 @@ TEST(FlightRecTest, NormalDumpCarriesMetricsAndTrace) {
   ASSERT_TRUE(flightrec::configured());
 
   registry().counter("test.flightrec.counter").inc(7);
-  const std::uint16_t id = trace_name("test.flightrec.span");
+  Stage& span = stage("test.flightrec.span");
   start_tracing();
   {
-    TraceSpan span(id, 11);
+    auto closed = span.begin(11);
   }
-  trace_instant(id, 22);
-  TraceSpan open_span(id, 33);  // still in flight at dump time
+  trace_instant(trace_name("test.flightrec.span"), 22);
+  auto open_span = span.begin(33);  // still in flight at dump time
   const std::string path = flightrec::dump("unit test reason \"quoted\"");
   open_span.end();
   stop_tracing();

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "tests/json_test_util.h"
 
 namespace ickpt::obs {
@@ -144,39 +143,6 @@ TEST(ObsHistogramTest, EmptyHistogramIsZeroed) {
   EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.mean(), 0.0);
   EXPECT_EQ(h.approx_quantile(0.5), 0.0);
-}
-
-TEST(ObsTimerTest, ScopedTimerRecordsWhenEnabled) {
-  auto& h = registry().histogram("test.timer.on", Unit::kNanoseconds);
-  h.reset();
-  set_enabled(true);
-  { ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(ObsTimerTest, ScopedTimerSkipsWhenDisabled) {
-  auto& h = registry().histogram("test.timer.off", Unit::kNanoseconds);
-  h.reset();
-  set_enabled(false);
-  { ScopedTimer t(h); }
-  set_enabled(true);
-  EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(ObsTimerTest, CancelAndIdempotentStop) {
-  auto& h = registry().histogram("test.timer.cancel", Unit::kNanoseconds);
-  h.reset();
-  {
-    ScopedTimer t(h);
-    t.cancel();
-  }
-  EXPECT_EQ(h.count(), 0u);
-  {
-    ScopedTimer t(h);
-    t.stop();
-    t.stop();  // second stop must not double-record
-  }
-  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(ObsRegistryTest, ThreadedIncrementsAreExact) {

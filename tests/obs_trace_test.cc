@@ -1,19 +1,23 @@
 // Span tracing: ring claim/publish semantics under wraparound and
-// concurrent emitters, name interning, begin/end rollup, the Chrome
-// trace-event export, and the async-signal-safe emit path driven by a
-// real SIGSEGV from the mprotect engine.
+// concurrent emitters, name interning, obs::Stage scopes (one clock
+// read per edge feeding the histogram and the span), bench phases
+// built from stage histograms, the Chrome trace-event export, and the
+// async-signal-safe emit path driven by a real SIGSEGV from the
+// mprotect engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/arena.h"
 #include "common/page.h"
 #include "memtrack/mprotect_engine.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tests/json_test_util.h"
 
 namespace ickpt::obs {
@@ -41,7 +45,7 @@ TEST(TraceRingTest, HoldsEventsInEmitOrder) {
   const std::uint16_t id = trace_name("test.trace.order");
   TraceRing ring(64);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ring.emit(id, TracePhase::kInstant, i, i * 2);
+    ring.emit(ticks(), id, TracePhase::kInstant, i, i * 2);
   }
   EXPECT_EQ(ring.emitted(), 10u);
   EXPECT_EQ(ring.dropped(), 0u);
@@ -63,7 +67,7 @@ TEST(TraceRingTest, WraparoundKeepsTheMostRecentEvents) {
   ASSERT_EQ(ring.capacity(), 8u);
   const std::uint64_t total = 8 * 5 + 3;  // several revolutions
   for (std::uint64_t i = 0; i < total; ++i) {
-    ring.emit(id, TracePhase::kInstant, i);
+    ring.emit(ticks(), id, TracePhase::kInstant, i);
   }
   EXPECT_EQ(ring.emitted(), total);
   EXPECT_EQ(ring.dropped(), total - 8);
@@ -80,7 +84,7 @@ TEST(TraceRingTest, ReadRecentTruncatesToMax) {
   const std::uint16_t id = trace_name("test.trace.recent");
   TraceRing ring(32);
   for (std::uint64_t i = 0; i < 20; ++i) {
-    ring.emit(id, TracePhase::kInstant, i);
+    ring.emit(ticks(), id, TracePhase::kInstant, i);
   }
   TraceEvent out[5];
   const std::size_t n = ring.read_recent(out, 5);
@@ -95,7 +99,7 @@ TEST(TraceRingTest, ReadRecentTruncatesToMax) {
 TEST(TraceRingTest, ResetDropsEverything) {
   const std::uint16_t id = trace_name("test.trace.reset");
   TraceRing ring(16);
-  for (int i = 0; i < 40; ++i) ring.emit(id, TracePhase::kInstant);
+  for (int i = 0; i < 40; ++i) ring.emit(ticks(), id, TracePhase::kInstant);
   ring.reset();
   EXPECT_EQ(ring.emitted(), 0u);
   EXPECT_EQ(ring.dropped(), 0u);
@@ -114,7 +118,7 @@ TEST(TraceRingTest, ConcurrentEmittersLoseNothingWhenSized) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&ring, id, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        ring.emit(id, TracePhase::kInstant,
+        ring.emit(ticks(), id, TracePhase::kInstant,
                   static_cast<std::uint64_t>(t) * kPerThread + i);
       }
     });
@@ -145,7 +149,7 @@ TEST(TraceRingTest, ConcurrentReadersSkipTornSlots) {
     writers.emplace_back([&] {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        ring.emit(id, TracePhase::kInstant, i, ~i);
+        ring.emit(ticks(), id, TracePhase::kInstant, i, ~i);
         ++i;
       }
     });
@@ -162,37 +166,163 @@ TEST(TraceRingTest, ConcurrentReadersSkipTornSlots) {
   for (auto& t : writers) t.join();
 }
 
-TEST(TraceSpanTest, RollupPairsBeginEnd) {
-  const std::uint16_t outer = trace_name("test.span.outer");
-  const std::uint16_t inner = trace_name("test.span.inner");
-  std::vector<TraceEvent> events;
-  auto ev = [](std::uint16_t id, TracePhase ph, std::uint64_t ts,
-               std::uint32_t tid) {
-    TraceEvent e;
-    e.name_id = id;
-    e.phase = ph;
-    e.ts_ns = ts;
-    e.tid = tid;
-    return e;
+// ------------------------------------------------------------- stages
+
+/// The events of span `id` emitted at or after ring sequence `seq0`.
+std::vector<TraceEvent> events_of(std::uint16_t id, std::uint64_t seq0) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : trace_ring()->snapshot()) {
+    if (e.seq >= seq0 && e.name_id == id) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(StageTest, RegistersHistogramAndSpanUnderOneName) {
+  Stage& s = stage("test.stage.names", TraceCat::kCkpt);
+  EXPECT_EQ(&stage("test.stage.names", TraceCat::kCkpt), &s);
+  EXPECT_EQ(&s.histogram(), &registry().histogram("test.stage.names_ns"));
+  const std::uint16_t id = trace_name("test.stage.names");
+  EXPECT_EQ(trace_name_cat(id), TraceCat::kCkpt);
+  const auto all = stages();
+  EXPECT_EQ(std::count(all.begin(), all.end(), &s), 1);
+}
+
+TEST(StageTest, RecordsWhenEnabled) {
+  Stage& s = stage("test.stage.on");
+  s.histogram().reset();
+  set_enabled(true);
+  { auto scope = s.begin(); }
+  EXPECT_EQ(s.histogram().count(), 1u);
+}
+
+TEST(StageTest, SkipsWhenDisabled) {
+  Stage& s = stage("test.stage.off");
+  s.histogram().reset();
+  set_enabled(false);
+  { auto scope = s.begin(); }
+  set_enabled(true);
+  EXPECT_EQ(s.histogram().count(), 0u);
+}
+
+TEST(StageTest, CancelAndIdempotentEnd) {
+  Stage& s = stage("test.stage.cancel");
+  s.histogram().reset();
+  {
+    auto scope = s.begin();
+    scope.cancel();
+  }
+  EXPECT_EQ(s.histogram().count(), 0u);
+  {
+    auto scope = s.begin();
+    scope.end();
+    scope.end();  // second end must not double-record
+  }
+  EXPECT_EQ(s.histogram().count(), 1u);
+}
+
+TEST(StageTest, MovedScopeEndsOnce) {
+  Stage& s = stage("test.stage.move");
+  s.histogram().reset();
+  {
+    Stage::Scope held;
+    held = s.begin();
+    Stage::Scope taken(std::move(held));
+  }
+  EXPECT_EQ(s.histogram().count(), 1u);
+}
+
+TEST(StageTest, SpanEdgesAreTheHistogramsClockReads) {
+  Stage& s = stage("test.stage.same_clock");
+  s.histogram().reset();
+  start_tracing();
+  // Past the 1 ms calibration baseline, so the tick slope is cached
+  // and the histogram and the ring export convert with the same one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const std::uint64_t seq0 = trace_ring()->emitted();
+  {
+    auto scope = s.begin(7);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    scope.end(8, 9);
+  }
+  stop_tracing();
+  ASSERT_EQ(s.histogram().count(), 1u);
+  const auto ev = events_of(trace_name("test.stage.same_clock"), seq0);
+  ASSERT_EQ(ev.size(), 2u);
+  EXPECT_EQ(ev[0].phase, TracePhase::kBegin);
+  EXPECT_EQ(ev[0].arg0, 7u);
+  EXPECT_EQ(ev[1].phase, TracePhase::kEnd);
+  EXPECT_EQ(ev[1].arg0, 8u);
+  EXPECT_EQ(ev[1].arg1, 9u);
+  const std::uint64_t span_ns = ev[1].ts_ns - ev[0].ts_ns;
+  const std::uint64_t hist_ns = s.histogram().sum();
+  EXPECT_GE(hist_ns, 200'000u);
+  // Each edge is converted to ns on its own: +-1 ns of rounding.
+  EXPECT_LE(std::max(span_ns, hist_ns) - std::min(span_ns, hist_ns), 1u)
+      << "span " << span_ns << " ns vs histogram " << hist_ns << " ns";
+}
+
+TEST(StageTest, CancelClosesTheSpanButRecordsNothing) {
+  Stage& s = stage("test.stage.cancel_traced");
+  s.histogram().reset();
+  start_tracing();
+  const std::uint64_t seq0 = trace_ring()->emitted();
+  {
+    auto scope = s.begin(1);
+    scope.cancel();
+  }
+  stop_tracing();
+  EXPECT_EQ(s.histogram().count(), 0u);
+  const auto ev = events_of(trace_name("test.stage.cancel_traced"), seq0);
+  ASSERT_EQ(ev.size(), 2u);
+  EXPECT_EQ(ev[0].phase, TracePhase::kBegin);
+  EXPECT_EQ(ev[1].phase, TracePhase::kEnd);
+}
+
+TEST(BenchJsonTest, PhasesCountEveryScopeOfTheArm) {
+  bench::BenchArgs args;
+  bench::BenchJson json("unit", args);
+  Stage& s = stage("test.bench.scope", TraceCat::kBench);
+  Stage& idle = stage("test.bench.idle", TraceCat::kBench);
+  { auto before = idle.begin(); }  // ran before any arm: in no phase
+  const std::uint64_t sum0 = s.histogram().sum();
+  // Tracing on: 80 000 events, far past the ring's capacity.
+  start_tracing();
+  constexpr std::uint64_t kScopes = 40'000;
+  json.run_arm("many", 0, [&] {
+    for (std::uint64_t i = 0; i < kScopes; ++i) {
+      auto scope = s.begin(i);
+    }
+  });
+  json.run_arm("few", 0, [&] {
+    for (int i = 0; i < 3; ++i) {
+      auto scope = s.begin();
+    }
+  });
+  stop_tracing();
+  ASSERT_GT(2 * kScopes, TraceRing::kDefaultCapacity);
+
+  const std::string doc = json.to_json();
+  JsonParser parser(doc);
+  JsonValue root = parser.parse();
+  ASSERT_FALSE(parser.failed());
+  auto& arms = root.object["arms"].array;
+  ASSERT_EQ(arms.size(), 2u);
+  // Phase `n` of arm `a` as {count, total_ns}; {0, 0} when absent.
+  auto phase = [&arms](std::size_t a, const std::string& n) {
+    for (auto& p : arms[a].object["phases"].array) {
+      if (p.object["name"].str == n) {
+        return std::pair<double, double>(p.object["count"].number,
+                                         p.object["total_ns"].number);
+      }
+    }
+    return std::pair<double, double>(0, 0);
   };
-  // Nested same-thread spans plus an interleaved span on thread 2 and
-  // an unmatched begin that must be ignored.
-  events.push_back(ev(outer, TracePhase::kBegin, 100, 1));
-  events.push_back(ev(inner, TracePhase::kBegin, 110, 1));
-  events.push_back(ev(outer, TracePhase::kBegin, 115, 2));
-  events.push_back(ev(inner, TracePhase::kEnd, 140, 1));
-  events.push_back(ev(outer, TracePhase::kEnd, 150, 1));
-  events.push_back(ev(outer, TracePhase::kEnd, 165, 2));
-  events.push_back(ev(inner, TracePhase::kBegin, 170, 1));  // unmatched
-  auto rollups = rollup_spans(events);
-  ASSERT_EQ(rollups.size(), 2u);
-  // Sorted by name: inner before outer.
-  EXPECT_EQ(rollups[0].name, "test.span.inner");
-  EXPECT_EQ(rollups[0].count, 1u);
-  EXPECT_EQ(rollups[0].total_ns, 30u);
-  EXPECT_EQ(rollups[1].name, "test.span.outer");
-  EXPECT_EQ(rollups[1].count, 2u);
-  EXPECT_EQ(rollups[1].total_ns, 50u + 50u);
+  EXPECT_EQ(phase(0, "test.bench.scope").first, static_cast<double>(kScopes));
+  EXPECT_EQ(phase(1, "test.bench.scope").first, 3);
+  EXPECT_EQ(phase(0, "test.bench.scope").second +
+                phase(1, "test.bench.scope").second,
+            static_cast<double>(s.histogram().sum() - sum0));
+  EXPECT_EQ(phase(0, "test.bench.idle").first, 0);
 }
 
 TEST(TraceExportTest, ChromeJsonParsesAndCarriesFields) {
@@ -234,6 +364,7 @@ TEST(TraceExportTest, ChromeJsonParsesAndCarriesFields) {
 // --------------------------------------------- process ring + fault path
 
 TEST(TraceProcessTest, EmitRequiresTracingOn) {
+  Stage& gate = stage("test.process.gate");
   const std::uint16_t id = trace_name("test.process.gate");
   start_tracing();
   TraceRing* ring = trace_ring();
@@ -244,13 +375,13 @@ TEST(TraceProcessTest, EmitRequiresTracingOn) {
   stop_tracing();
   trace_instant(id, 2);
   EXPECT_EQ(ring->emitted(), before + 1);
-  { TraceSpan dead(id); }  // constructed while off: both edges elided
+  { auto dead = gate.begin(); }  // begun while off: both edges elided
   EXPECT_EQ(ring->emitted(), before + 1);
   start_tracing();
   {
-    TraceSpan span(id, 3);
-    span.end(4);
-    span.end(5);  // idempotent: no second end event
+    auto scope = gate.begin(3);
+    scope.end(4);
+    scope.end(5);  // idempotent: no second end event
   }
   EXPECT_EQ(ring->emitted(), before + 3);
   stop_tracing();

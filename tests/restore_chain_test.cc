@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/format.h"
@@ -399,6 +400,14 @@ TEST_F(RestoreChainTest, ReadCheckpointFileReturnsOneIncrementalAlone) {
   const std::uint64_t d0 = decoded.value();
   const std::uint64_t s0 = skipped.value();
   const std::uint64_t b0 = bytes_read.value();
+  // Nor any restore stage: plan, decode, per-shard decode, stitch.
+  std::vector<obs::Histogram*> stage_hists;
+  std::vector<std::uint64_t> stage_counts0;
+  for (const char* name : {"restore.plan_ns", "restore.decode_ns",
+                           "restore.decode_shard_ns", "restore.stitch_ns"}) {
+    stage_hists.push_back(&reg.histogram(name));
+    stage_counts0.push_back(stage_hists.back()->count());
+  }
 
   // Random access, and a 37-byte-per-read sequential view that drives
   // the scanner and shard fallbacks.
@@ -429,6 +438,9 @@ TEST_F(RestoreChainTest, ReadCheckpointFileReturnsOneIncrementalAlone) {
   EXPECT_EQ(decoded.value(), d0);
   EXPECT_EQ(skipped.value(), s0);
   EXPECT_EQ(bytes_read.value(), b0);
+  for (std::size_t i = 0; i < stage_hists.size(); ++i) {
+    EXPECT_EQ(stage_hists[i]->count(), stage_counts0[i]) << i;
+  }
 }
 
 TEST_F(RestoreChainTest, UndecodablePageBeforeSeedFailsOnlyFsck) {

@@ -7,10 +7,16 @@
 # Usage: check_bench_json.sh FILE [FILE...]
 set -eu
 
-if [ "$#" -lt 1 ]; then
-  echo "usage: $0 BENCH_file.json [...]" >&2
-  exit 2
-fi
+# Fail file $1 if an arm whose name matches jq filter $2 lacks a phase
+# in jq array $3 or ran phases $4 and $5 unequally often.
+require_phases() {
+  bad=$(jq -r --argjson need "$3" --arg a "$4" --arg b "$5" '.arms[] |
+    select(.name | '"$2"') | ([.phases[] | {(.name): .count}] | add) as $p |
+    select(any($need[]; $p[.] == null) or $p[$a] != $p[$b]) | .name' "$1")
+  [ -z "$bad" ] && return 0
+  echo "FAIL $1: arms missing one of $3 or with $4 != $5:" $bad >&2
+  return 1
+}
 
 status=0
 for f in "$@"; do
@@ -85,6 +91,13 @@ for f in "$@"; do
       status=1
       continue
     fi
+    # One plan and one write per checkpoint of each encode-thread arm.
+    if ! require_phases "$f" 'test("^t[0-9]+_")' \
+        '["ckpt.plan","ckpt.encode_shard","ckpt.write"]' ckpt.plan ckpt.write
+    then
+      status=1
+      continue
+    fi
   fi
   # X9 (bench "restore") must carry the one-thread and pooled planned
   # arms (the 1T arm is the denominator of the pool speedup) and both
@@ -102,6 +115,13 @@ for f in "$@"; do
         (any(startswith("file_chain"))) and
         (any(startswith("segment_chain")))' "$f" > /dev/null; then
       echo "FAIL $f: restore bench missing on-disk chain arms" >&2
+      status=1
+      continue
+    fi
+    # Every chain restore plans once and stitches once.
+    if ! require_phases "$f" 'contains("chain")' \
+        '["restore.plan","restore.decode_shard","restore.stitch"]' \
+        restore.plan restore.stitch; then
       status=1
       continue
     fi

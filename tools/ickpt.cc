@@ -63,8 +63,7 @@
 #include "net/remote_backend.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "storage/backend.h"
 #include "storage/segment_backend.h"
 #include "trace/write_trace.h"
@@ -338,46 +337,34 @@ int cmd_stats(int argc, char** argv) {
   auto& reg = obs::registry();
   auto& counter = reg.counter("obs.bench.count");
   auto& hist = reg.histogram("obs.bench.value_ns", obs::Unit::kNanoseconds);
-  auto& timed = reg.histogram("obs.bench.timed_ns", obs::Unit::kNanoseconds);
-
-  auto per_op = [n](std::uint64_t t0, std::uint64_t t1) {
-    return static_cast<double>(t1 - t0) / static_cast<double>(n);
-  };
-
-  std::uint64_t t0 = obs::now_ns();
-  for (std::uint64_t i = 0; i < n; ++i) counter.inc();
-  const double counter_ns = per_op(t0, obs::now_ns());
-
-  t0 = obs::now_ns();
-  for (std::uint64_t i = 0; i < n; ++i) hist.record(i & 0xFFFF);
-  const double record_ns = per_op(t0, obs::now_ns());
-
-  t0 = obs::now_ns();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    obs::ScopedTimer t(timed);
-  }
-  const double timer_ns = per_op(t0, obs::now_ns());
-
-  obs::set_enabled(false);
-  t0 = obs::now_ns();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    obs::ScopedTimer t(timed);
-  }
-  const double idle_ns = per_op(t0, obs::now_ns());
-  obs::set_enabled(true);
-
-  // Trace-emit cost: with tracing off (the always-on branch every
-  // instrumented site pays) and on (ring emit).
+  obs::Stage& timed = obs::stage("obs.bench.timed", obs::TraceCat::kBench);
   const std::uint16_t t_bench =
       obs::trace_name("obs.bench.emit", obs::TraceCat::kBench);
-  t0 = obs::now_ns();
-  for (std::uint64_t i = 0; i < n; ++i) obs::trace_instant(t_bench, i);
-  const double trace_off_ns = per_op(t0, obs::now_ns());
 
+  // Mean ns per call of op(i) over n calls.
+  auto per_op = [n](auto&& op) {
+    const std::uint64_t t0 = obs::ticks();
+    for (std::uint64_t i = 0; i < n; ++i) op(i);
+    return static_cast<double>(obs::ticks_elapsed_ns(t0, obs::ticks())) /
+           static_cast<double>(n);
+  };
+  auto stage_op = [&timed](std::uint64_t) { auto scope = timed.begin(); };
+  auto emit_op = [t_bench](std::uint64_t i) { obs::trace_instant(t_bench, i); };
+
+  const double counter_ns = per_op([&](std::uint64_t) { counter.inc(); });
+  const double record_ns =
+      per_op([&](std::uint64_t i) { hist.record(i & 0xFFFF); });
+  const double stage_ns = per_op(stage_op);
+  obs::set_enabled(false);
+  const double stage_idle_ns = per_op(stage_op);
+  obs::set_enabled(true);
+  // Trace-emit cost with tracing off (the always-on branch every
+  // instrumented site pays) and on (ring emit); then a stage feeding
+  // both its histogram and the ring.
+  const double trace_off_ns = per_op(emit_op);
   obs::start_tracing();
-  t0 = obs::now_ns();
-  for (std::uint64_t i = 0; i < n; ++i) obs::trace_instant(t_bench, i);
-  const double trace_on_ns = per_op(t0, obs::now_ns());
+  const double trace_on_ns = per_op(emit_op);
+  const double stage_traced_ns = per_op(stage_op);
   obs::stop_tracing();
 
   if (!json_only) {
@@ -386,8 +373,10 @@ int cmd_stats(int argc, char** argv) {
     table.set_header({"Primitive", "ns/op"});
     table.add_row({"counter inc", TextTable::num(counter_ns, 1)});
     table.add_row({"histogram record", TextTable::num(record_ns, 1)});
-    table.add_row({"scoped timer (enabled)", TextTable::num(timer_ns, 1)});
-    table.add_row({"scoped timer (idle)", TextTable::num(idle_ns, 1)});
+    table.add_row({"stage (metrics on, tracing off)",
+                   TextTable::num(stage_ns, 1)});
+    table.add_row({"stage (idle)", TextTable::num(stage_idle_ns, 1)});
+    table.add_row({"stage (tracing on)", TextTable::num(stage_traced_ns, 1)});
     table.add_row({"trace emit (tracing off)",
                    TextTable::num(trace_off_ns, 1)});
     table.add_row({"trace emit (tracing on)",
@@ -584,7 +573,7 @@ int cmd_store_put(int argc, char** argv) {
     return 1;
   }
   int rc = [&] {
-    obs::TraceSpan span(obs::trace_name("cli.put", obs::TraceCat::kNet));
+    auto scope = obs::stage("cli.put", obs::TraceCat::kNet).begin();
     auto writer = (*store)->create(key);
     if (!writer.is_ok()) return store_error("put", writer.status());
     std::vector<std::byte> buf(1u << 20);
@@ -638,7 +627,7 @@ int cmd_store_get(int argc, char** argv) {
     return 1;
   }
   int rc = [&] {
-    obs::TraceSpan span(obs::trace_name("cli.get", obs::TraceCat::kNet));
+    auto scope = obs::stage("cli.get", obs::TraceCat::kNet).begin();
     auto reader = (*store)->open(key);
     if (!reader.is_ok()) return store_error("get", reader.status());
     std::vector<std::byte> buf(1u << 20);
@@ -679,7 +668,7 @@ int cmd_store_ls(int argc, char** argv) {
   auto store = open_store(target);
   if (!store.is_ok()) return store_error("ls", store.status());
   auto keys = [&] {
-    obs::TraceSpan span(obs::trace_name("cli.ls", obs::TraceCat::kNet));
+    auto scope = obs::stage("cli.ls", obs::TraceCat::kNet).begin();
     return (*store)->list();
   }();
   if (!keys.is_ok()) return store_error("ls", keys.status());
@@ -707,7 +696,7 @@ int cmd_store_del(int argc, char** argv) {
   auto store = open_store(target);
   if (!store.is_ok()) return store_error("del", store.status());
   auto st = [&] {
-    obs::TraceSpan span(obs::trace_name("cli.del", obs::TraceCat::kNet));
+    auto scope = obs::stage("cli.del", obs::TraceCat::kNet).begin();
     return (*store)->remove(key);
   }();
   if (!st.is_ok()) return store_error("del", st);
