@@ -70,8 +70,9 @@ void BM_WriteFault(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteFault);
 
-/// Cost of one absorbed write fault via userfaultfd-wp (poller thread
-/// round trip) — the modern engine's counterpart of BM_WriteFault.
+/// Cost of one first write under async userfaultfd-wp (the kernel
+/// lifts the protection itself) — the modern engine's counterpart of
+/// BM_WriteFault.
 void BM_WriteFaultUffd(benchmark::State& state) {
   if (!memtrack::uffd_supported()) {
     state.SkipWithError("userfaultfd-wp unsupported");

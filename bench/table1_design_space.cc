@@ -34,11 +34,8 @@ int main() {
   ours.add_row({"mprotect + SIGSEGV (paper's mechanism)",
                 "run-time library over OS paging", "yes"});
   ours.add_row({"userfaultfd write-protect",
-                "operating system (delegated faults)",
+                "operating system (kernel-resolved faults)",
                 memtrack::uffd_supported() ? "yes" : "no (kernel)"});
-  ours.add_row({"soft-dirty pagemap (CRIU-style)",
-                "operating system (page-table bits)",
-                memtrack::soft_dirty_supported() ? "yes" : "no (kernel)"});
   ours.add_row({"explicit notification",
                 "application with library support", "yes"});
   ours.print(std::cout);

@@ -3,7 +3,7 @@
 //
 // This is the reproduction of the paper's instrumentation library
 // (Section 4.2): regions of application memory are attached, an
-// interval is armed (pages write-protected / soft-dirty bits cleared),
+// interval is armed (pages write-protected),
 // the application runs, and collect() returns the Incremental Working
 // Set — the set of pages written during the interval.
 #pragma once
@@ -24,15 +24,15 @@ namespace ickpt::memtrack {
 using RegionId = std::uint32_t;
 inline constexpr RegionId kInvalidRegion = 0xffffffffu;
 
+// The values are fixed because parameterized test names print them.
 enum class EngineKind {
   /// mprotect + SIGSEGV write faults — the paper's mechanism.
-  kMProtect,
-  /// /proc/self/clear_refs + pagemap soft-dirty bits (CRIU-style).
-  kSoftDirty,
-  /// userfaultfd write-protection (modern kernels; no signal handler).
-  kUffd,
+  kMProtect = 0,
+  /// userfaultfd async write-protection, resolved in the kernel and read
+  /// back with PAGEMAP_SCAN (Linux >= 6.7).
+  kUffd = 2,
   /// Application-annotated writes; deterministic, for tests and replay.
-  kExplicit,
+  kExplicit = 3,
 };
 
 std::string_view to_string(EngineKind kind) noexcept;
@@ -68,10 +68,11 @@ struct DirtySnapshot {
 
 /// Engine health/cost counters for the intrusiveness analysis (§6.5).
 struct EngineCounters {
-  std::uint64_t faults_handled = 0;  ///< SIGSEGV faults absorbed (mprotect)
-  std::uint64_t arms = 0;            ///< intervals armed
-  std::uint64_t collects = 0;        ///< snapshots taken
-  std::uint64_t pages_scanned = 0;   ///< pagemap entries read (soft-dirty)
+  /// SIGSEGV faults absorbed (mprotect; uffd faults never reach user
+  /// space, so it stays 0 there).
+  std::uint64_t faults_handled = 0;
+  std::uint64_t arms = 0;      ///< intervals armed
+  std::uint64_t collects = 0;  ///< snapshots taken
 };
 
 class DirtyTracker {
@@ -112,14 +113,12 @@ class DirtyTracker {
   virtual std::size_t tracked_bytes() const = 0;
 };
 
-/// Factory.  kSoftDirty / kUffd return kUnsupported when the kernel
-/// lacks the mechanism (probed at first use).
+/// Factory.  kUffd returns kUnsupported when the kernel lacks the
+/// mechanism (probed at first use).
 Result<std::unique_ptr<DirtyTracker>> make_tracker(EngineKind kind);
 
-/// True if the soft-dirty mechanism works in this kernel/container.
-bool soft_dirty_supported();
-
-/// True if userfaultfd write-protection works here (see uffd_engine.h).
+/// True if async userfaultfd write-protection and PAGEMAP_SCAN work
+/// here (see uffd_engine.h).
 bool uffd_supported();
 
 namespace detail {

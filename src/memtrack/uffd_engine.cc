@@ -2,62 +2,166 @@
 
 #include <fcntl.h>
 #include <linux/userfaultfd.h>
-#include <poll.h>
 #include <sys/ioctl.h>
-#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <vector>
+
+#include "common/arena.h"
 
 namespace ickpt::memtrack {
 
 namespace {
+
+// Linux 6.7 ABI (linux/userfaultfd.h, linux/fs.h) that the installed
+// uapi headers predate.  The names differ from the kernel's macros so a
+// newer header cannot collide with them.
+constexpr std::uint64_t kFeatureWpUnpopulated = 1ull << 13;
+constexpr std::uint64_t kFeatureWpAsync = 1ull << 15;
+constexpr std::uint64_t kFeatures =
+    UFFD_FEATURE_PAGEFAULT_FLAG_WP | kFeatureWpUnpopulated | kFeatureWpAsync;
+
+constexpr std::uint64_t kPageIsWritten = 1ull << 1;     // PAGE_IS_WRITTEN
+constexpr std::uint64_t kScanWpMatching = 1ull << 0;    // PM_SCAN_WP_MATCHING
+constexpr std::uint64_t kScanCheckWpAsync = 1ull << 1;  // PM_SCAN_CHECK_WPASYNC
+
+struct PageRegion {  // struct page_region
+  std::uint64_t start;
+  std::uint64_t end;
+  std::uint64_t categories;
+};
+static_assert(sizeof(PageRegion) == 24);
+
+struct PmScanArg {  // struct pm_scan_arg
+  std::uint64_t size;
+  std::uint64_t flags;
+  std::uint64_t start;
+  std::uint64_t end;
+  std::uint64_t walk_end;
+  std::uint64_t vec;
+  std::uint64_t vec_len;
+  std::uint64_t max_pages;
+  std::uint64_t category_inverted;
+  std::uint64_t category_mask;
+  std::uint64_t category_anyof_mask;
+  std::uint64_t return_mask;
+};
+static_assert(sizeof(PmScanArg) == 96);
+
+constexpr unsigned long kPagemapScan = _IOWR('f', 16, PmScanArg);
+
+/// Written ranges returned per PAGEMAP_SCAN call.
+constexpr std::size_t kScanBatch = 256;
+
+Status errno_error(const char* what) {
+  return io_error(std::string(what) + ": " + std::strerror(errno));
+}
 
 int open_uffd() {
   long fd = ::syscall(SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) return -1;
   struct uffdio_api api = {};
   api.api = UFFD_API;
-  api.features = UFFD_FEATURE_PAGEFAULT_FLAG_WP;
+  api.features = kFeatures;
   if (::ioctl(static_cast<int>(fd), UFFDIO_API, &api) < 0 ||
-      (api.features & UFFD_FEATURE_PAGEFAULT_FLAG_WP) == 0) {
+      (api.features & kFeatures) != kFeatures) {
     ::close(static_cast<int>(fd));
     return -1;
   }
   return static_cast<int>(fd);
 }
 
-/// Full end-to-end probe: register a page, write-protect it, write
-/// from another thread... too heavy; registering + WP ioctl success is
-/// a reliable indicator in practice.
-bool probe_uffd() {
-  int fd = open_uffd();
-  if (fd < 0) return false;
-  bool ok = false;
-  void* p = ::mmap(nullptr, page_size(), PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p != MAP_FAILED) {
-    *static_cast<volatile char*>(p) = 1;  // make resident
-    struct uffdio_register reg = {};
-    reg.range.start = reinterpret_cast<unsigned long long>(p);
-    reg.range.len = page_size();
-    reg.mode = UFFDIO_REGISTER_MODE_WP;
-    if (::ioctl(fd, UFFDIO_REGISTER, &reg) == 0) {
-      struct uffdio_writeprotect wp = {};
-      wp.range = reg.range;
-      wp.mode = UFFDIO_WRITEPROTECT_MODE_WP;
-      if (::ioctl(fd, UFFDIO_WRITEPROTECT, &wp) == 0) {
-        wp.mode = 0;  // un-protect again
-        ok = ::ioctl(fd, UFFDIO_WRITEPROTECT, &wp) == 0;
-      }
-      struct uffdio_range range = reg.range;
-      ::ioctl(fd, UFFDIO_UNREGISTER, &range);
-    }
-    ::munmap(p, page_size());
+int open_pagemap() { return ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC); }
+
+Status register_range(int uffd, const PageRange& range) {
+  struct uffdio_register reg = {};
+  reg.range.start = range.begin;
+  reg.range.len = range.bytes();
+  reg.mode = UFFDIO_REGISTER_MODE_WP;
+  if (::ioctl(uffd, UFFDIO_REGISTER, &reg) != 0) {
+    return errno_error("UFFDIO_REGISTER");
   }
-  ::close(fd);
+  return Status::ok();
+}
+
+Status unregister_range(int uffd, const PageRange& range) {
+  struct uffdio_range urange = {};
+  urange.start = range.begin;
+  urange.len = range.bytes();
+  if (::ioctl(uffd, UFFDIO_UNREGISTER, &urange) != 0) {
+    return errno_error("UFFDIO_UNREGISTER");
+  }
+  return Status::ok();
+}
+
+Status write_protect(int uffd, const PageRange& range, bool protect) {
+  struct uffdio_writeprotect wp = {};
+  wp.range.start = range.begin;
+  wp.range.len = range.bytes();
+  wp.mode = protect ? UFFDIO_WRITEPROTECT_MODE_WP : 0;
+  if (::ioctl(uffd, UFFDIO_WRITEPROTECT, &wp) != 0) {
+    return errno_error("UFFDIO_WRITEPROTECT");
+  }
+  return Status::ok();
+}
+
+/// Appends to `pages` the index of every page of `range` written since
+/// it was last protected, in ascending order.  With `rearm` the same
+/// walk write-protects those pages again, so a write racing the scan
+/// lands either in this result or in the next interval.
+Status scan_written(int pagemap_fd, const PageRange& range, bool rearm,
+                    std::vector<std::uint32_t>& pages) {
+  PageRegion vec[kScanBatch];
+  PmScanArg arg = {};
+  arg.size = sizeof arg;
+  arg.flags = rearm ? (kScanWpMatching | kScanCheckWpAsync) : 0;
+  arg.start = range.begin;
+  arg.end = range.end;
+  arg.vec = reinterpret_cast<std::uintptr_t>(vec);
+  arg.vec_len = kScanBatch;
+  arg.category_mask = kPageIsWritten;
+  arg.return_mask = kPageIsWritten;
+  for (;;) {
+    long n = ::ioctl(pagemap_fd, kPagemapScan, &arg);
+    if (n < 0) return errno_error("PAGEMAP_SCAN");
+    for (long i = 0; i < n; ++i) {
+      for (std::uint64_t a = vec[i].start; a < vec[i].end; a += page_size()) {
+        pages.push_back(
+            static_cast<std::uint32_t>((a - range.begin) >> page_shift()));
+      }
+    }
+    if (arg.walk_end >= range.end) return Status::ok();
+    if (arg.walk_end <= arg.start) {
+      return io_error("PAGEMAP_SCAN made no progress");
+    }
+    arg.start = arg.walk_end;
+  }
+}
+
+/// End-to-end check on one never-populated page: protect it, write it,
+/// and require that a rearming scan reports exactly that page.
+bool probe_uffd() {
+  int uffd = open_uffd();
+  if (uffd < 0) return false;
+  int pagemap = open_pagemap();
+  bool ok = false;
+  if (pagemap >= 0) {
+    PageArena page(page_size());
+    const PageRange range = page.range();
+    std::vector<std::uint32_t> written;
+    if (register_range(uffd, range).is_ok() &&
+        write_protect(uffd, range, true).is_ok()) {
+      page.data()[0] = std::byte{1};
+      ok = scan_written(pagemap, range, /*rearm=*/true, written).is_ok() &&
+           written == std::vector<std::uint32_t>{0};
+      (void)unregister_range(uffd, range);
+    }
+    ::close(pagemap);
+  }
+  ::close(uffd);
   return ok;
 }
 
@@ -70,100 +174,31 @@ bool uffd_supported() {
 
 Result<std::unique_ptr<UffdEngine>> UffdEngine::create() {
   if (!uffd_supported()) {
-    return unsupported("userfaultfd write-protect unavailable");
+    return unsupported(
+        "userfaultfd async write-protect with PAGEMAP_SCAN unavailable "
+        "(needs Linux >= 6.7)");
   }
   int uffd = open_uffd();
-  if (uffd < 0) {
-    return io_error(std::string("userfaultfd: ") + std::strerror(errno));
-  }
-  int pipefd[2];
-  if (::pipe2(pipefd, O_CLOEXEC) != 0) {
+  if (uffd < 0) return errno_error("userfaultfd");
+  int pagemap = open_pagemap();
+  if (pagemap < 0) {
+    Status st = errno_error("open /proc/self/pagemap");
     ::close(uffd);
-    return io_error(std::string("pipe2: ") + std::strerror(errno));
+    return st;
   }
-  return std::unique_ptr<UffdEngine>(
-      new UffdEngine(uffd, pipefd[0], pipefd[1]));
+  return std::unique_ptr<UffdEngine>(new UffdEngine(uffd, pagemap));
 }
 
-UffdEngine::UffdEngine(int uffd, int stop_read_fd, int stop_write_fd)
-    : uffd_(uffd), stop_read_fd_(stop_read_fd), stop_write_fd_(stop_write_fd) {
-  poller_ = std::thread([this] { poller_loop(); });
-}
+UffdEngine::UffdEngine(int uffd, int pagemap_fd)
+    : uffd_(uffd), pagemap_fd_(pagemap_fd) {}
 
 UffdEngine::~UffdEngine() {
-  // Unblock any faulting threads, then stop the poller.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, r] : regions_) {
-      (void)write_protect(r.range, /*protect=*/false);
-      struct uffdio_range range = {};
-      range.start = r.range.begin;
-      range.len = r.range.bytes();
-      ::ioctl(uffd_, UFFDIO_UNREGISTER, &range);
-    }
-    regions_.clear();
-  }
-  char stop = 1;
-  (void)!::write(stop_write_fd_, &stop, 1);
-  poller_.join();
-  ::close(stop_read_fd_);
-  ::close(stop_write_fd_);
-  ::close(uffd_);
-}
-
-Status UffdEngine::write_protect(const PageRange& range, bool protect) {
-  struct uffdio_writeprotect wp = {};
-  wp.range.start = range.begin;
-  wp.range.len = range.bytes();
-  wp.mode = protect ? UFFDIO_WRITEPROTECT_MODE_WP : 0;
-  if (::ioctl(uffd_, UFFDIO_WRITEPROTECT, &wp) != 0) {
-    return io_error(std::string("UFFDIO_WRITEPROTECT: ") +
-                    std::strerror(errno));
-  }
-  return Status::ok();
-}
-
-UffdEngine::Region* UffdEngine::find_region_locked(std::uintptr_t addr) {
   for (auto& [id, r] : regions_) {
-    if (r.range.contains(addr)) return &r;
+    (void)write_protect(uffd_, r.range, /*protect=*/false);
+    (void)unregister_range(uffd_, r.range);
   }
-  return nullptr;
-}
-
-void UffdEngine::poller_loop() {
-  for (;;) {
-    struct pollfd fds[2] = {{uffd_, POLLIN, 0}, {stop_read_fd_, POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (fds[1].revents & POLLIN) return;  // shutdown
-    if (!(fds[0].revents & POLLIN)) continue;
-
-    struct uffd_msg msg;
-    ssize_t n = ::read(uffd_, &msg, sizeof msg);
-    if (n != static_cast<ssize_t>(sizeof msg)) continue;
-    if (msg.event != UFFD_EVENT_PAGEFAULT) continue;
-
-    const auto addr = static_cast<std::uintptr_t>(msg.arg.pagefault.address);
-    const std::uintptr_t page_addr = addr & ~(page_size() - 1);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (Region* r = find_region_locked(addr)) {
-        if (msg.arg.pagefault.flags & UFFD_PAGEFAULT_FLAG_WP) {
-          r->bitmap->set((page_addr - r->range.begin) >> page_shift());
-          faults_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    // Lift write-protection on the faulted page to release the writer
-    // (even for unknown ranges: leaving a thread wedged is worse).
-    struct uffdio_writeprotect wp = {};
-    wp.range.start = page_addr;
-    wp.range.len = page_size();
-    wp.mode = 0;
-    ::ioctl(uffd_, UFFDIO_WRITEPROTECT, &wp);
-  }
+  ::close(pagemap_fd_);
+  ::close(uffd_);
 }
 
 Result<RegionId> UffdEngine::attach(std::span<std::byte> mem,
@@ -174,28 +209,19 @@ Result<RegionId> UffdEngine::attach(std::span<std::byte> mem,
     return invalid_argument("attach: range must be page-aligned ('" + name +
                             "')");
   }
-  struct uffdio_register reg = {};
-  reg.range.start = addr;
-  reg.range.len = mem.size();
-  reg.mode = UFFDIO_REGISTER_MODE_WP;
-  if (::ioctl(uffd_, UFFDIO_REGISTER, &reg) != 0) {
-    return io_error(std::string("UFFDIO_REGISTER: ") + std::strerror(errno));
-  }
+  const PageRange range{addr, addr + mem.size()};
+  ICKPT_RETURN_IF_ERROR(register_range(uffd_, range));
 
   std::lock_guard<std::mutex> lock(mu_);
-  RegionId id = next_id_++;
-  PageRange range{addr, addr + mem.size()};
-  Region region{id, std::move(name), range,
-                std::make_unique<AtomicBitmap>(range.pages())};
   if (armed_) {
-    Status st = write_protect(range, true);
+    Status st = write_protect(uffd_, range, true);
     if (!st.is_ok()) {
-      struct uffdio_range urange = reg.range;
-      ::ioctl(uffd_, UFFDIO_UNREGISTER, &urange);
+      (void)unregister_range(uffd_, range);
       return st;
     }
   }
-  regions_.emplace(id, std::move(region));
+  RegionId id = next_id_++;
+  regions_.emplace(id, Region{std::move(name), range});
   return id;
 }
 
@@ -203,14 +229,8 @@ Status UffdEngine::detach(RegionId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = regions_.find(id);
   if (it == regions_.end()) return not_found("detach: unknown region id");
-  ICKPT_RETURN_IF_ERROR(write_protect(it->second.range, false));
-  struct uffdio_range range = {};
-  range.start = it->second.range.begin;
-  range.len = it->second.range.bytes();
-  if (::ioctl(uffd_, UFFDIO_UNREGISTER, &range) != 0) {
-    return io_error(std::string("UFFDIO_UNREGISTER: ") +
-                    std::strerror(errno));
-  }
+  ICKPT_RETURN_IF_ERROR(write_protect(uffd_, it->second.range, false));
+  ICKPT_RETURN_IF_ERROR(unregister_range(uffd_, it->second.range));
   regions_.erase(it);
   return Status::ok();
 }
@@ -219,8 +239,7 @@ Status UffdEngine::arm() {
   std::lock_guard<std::mutex> lock(mu_);
   auto scope = detail::arm_stage().begin();
   for (auto& [id, r] : regions_) {
-    r.bitmap->clear();
-    ICKPT_RETURN_IF_ERROR(write_protect(r.range, true));
+    ICKPT_RETURN_IF_ERROR(write_protect(uffd_, r.range, true));
   }
   armed_ = true;
   ++arms_;
@@ -233,14 +252,15 @@ Result<DirtySnapshot> UffdEngine::collect(bool rearm) {
   DirtySnapshot snap;
   snap.regions.reserve(regions_.size());
   for (auto& [id, r] : regions_) {
-    // Same ordering rationale as the mprotect engine: re-protect
-    // first, then drain, so a racing write lands in the next interval.
-    ICKPT_RETURN_IF_ERROR(write_protect(r.range, rearm));
     RegionDirty rd;
     rd.id = id;
     rd.name = r.name;
     rd.range = r.range;
-    r.bitmap->drain_set_bits(rd.dirty_pages, r.range.pages());
+    ICKPT_RETURN_IF_ERROR(
+        scan_written(pagemap_fd_, r.range, rearm, rd.dirty_pages));
+    // Un-protect only after the scan: lifting the protection first
+    // would make every page read as written.
+    if (!rearm) ICKPT_RETURN_IF_ERROR(write_protect(uffd_, r.range, false));
     snap.regions.push_back(std::move(rd));
   }
   armed_ = rearm;
@@ -252,7 +272,6 @@ Result<DirtySnapshot> UffdEngine::collect(bool rearm) {
 EngineCounters UffdEngine::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   EngineCounters c;
-  c.faults_handled = faults_.load(std::memory_order_relaxed);
   c.arms = arms_;
   c.collects = collects_;
   return c;

@@ -1,37 +1,34 @@
-// DirtyTracker implementation over userfaultfd write-protection —
-// the modern production mechanism for what the paper built with
-// mprotect + SIGSEGV.
+// DirtyTracker implementation over userfaultfd asynchronous
+// write-protection plus the PAGEMAP_SCAN ioctl — the modern,
+// kernel-resolved counterpart of what the paper built with mprotect +
+// SIGSEGV.
 //
-// A poller thread services write-protect faults from the kernel: it
-// records the dirty page and lifts the protection, releasing the
-// faulting thread.  Compared with the SIGSEGV scheme there is no
-// signal handler (no async-signal-safety constraints) and protection
-// changes are batched through a single ioctl per region.
+// arm() write-protects each region with one UFFDIO_WRITEPROTECT.  In
+// async mode (UFFD_FEATURE_WP_ASYNC) the kernel resolves a write fault
+// on a protected page by itself: it lifts the protection and the
+// writer continues, with no signal handler and no user-space thread.
+// UFFD_FEATURE_WP_UNPOPULATED extends the protection to pages that
+// were never populated, so first writes to them are caught as well.
+// collect() asks PAGEMAP_SCAN which pages lost their protection
+// (PAGE_IS_WRITTEN); when rearming, the same call re-protects exactly
+// those pages.
 //
-// Requires UFFD_FEATURE_PAGEFAULT_FLAG_WP (Linux >= 5.7 for anonymous
-// memory); probe-guarded like the soft-dirty engine.  Tracked pages
-// must be resident before arming (AddressSpace::map prefaults).
+// Requires Linux >= 6.7; probe-guarded (see uffd_supported()).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
-#include "memtrack/bitmap.h"
 #include "memtrack/tracker.h"
 
 namespace ickpt::memtrack {
 
-/// True if userfaultfd write-protect mode works here.
-bool uffd_supported();
-
 class UffdEngine final : public DirtyTracker {
  public:
-  /// Fails with kUnsupported when the kernel/configuration lacks
-  /// userfaultfd write-protection.
+  /// Fails with kUnsupported when the kernel lacks asynchronous
+  /// userfaultfd write-protection or PAGEMAP_SCAN.
   static Result<std::unique_ptr<UffdEngine>> create();
 
   ~UffdEngine() override;
@@ -50,29 +47,20 @@ class UffdEngine final : public DirtyTracker {
   std::size_t tracked_bytes() const override;
 
  private:
-  UffdEngine(int uffd, int stop_read_fd, int stop_write_fd);
+  UffdEngine(int uffd, int pagemap_fd);
 
   struct Region {
-    RegionId id;
     std::string name;
     PageRange range;
-    std::unique_ptr<AtomicBitmap> bitmap;
   };
 
-  Status write_protect(const PageRange& range, bool protect);
-  void poller_loop();
-  Region* find_region_locked(std::uintptr_t addr);
-
   int uffd_ = -1;
-  int stop_read_fd_ = -1;
-  int stop_write_fd_ = -1;
-  std::thread poller_;
+  int pagemap_fd_ = -1;
 
   mutable std::mutex mu_;
   std::map<RegionId, Region> regions_;
   RegionId next_id_ = 1;
   bool armed_ = false;
-  std::atomic<std::uint64_t> faults_{0};
   std::uint64_t arms_ = 0;
   std::uint64_t collects_ = 0;
 };

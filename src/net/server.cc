@@ -411,7 +411,6 @@ class Server::Impl {
       }
 
       case Verb::kPutBegin: {
-        m.req_put.inc();
         if (conn->put_writer != nullptr) {
           protocol_error(conn, ErrorCode::kFailedPrecondition,
                          "PUT_BEGIN while a PUT is already open");
@@ -464,8 +463,12 @@ class Server::Impl {
         const std::uint64_t bytes = conn->put_writer->bytes_written();
         auto st = conn->put_writer->close();
         conn->put_writer.reset();
+        if (!st.is_ok()) {
+          conn->put_scope.cancel();
+          return send_err(conn, st);
+        }
         conn->put_scope.end(fd, bytes);
-        if (!st.is_ok()) return send_err(conn, st);
+        m.req_put.inc();
         return send_frame(conn, Verb::kOk, {});
       }
 
@@ -481,7 +484,6 @@ class Server::Impl {
       }
 
       case Verb::kGet: {
-        m.req_get.inc();
         auto msg = parse_get(payload);
         if (!msg.is_ok() || !valid_key(msg->key)) {
           protocol_error(conn, ErrorCode::kInvalidArgument,
@@ -605,15 +607,18 @@ class Server::Impl {
   }
 
   /// Close out a GET stream: DATA_END on success, ERR on failure.
+  /// Only a completed GET is timed and counted.
   bool finish_get(Conn* conn, const Status& st) {
     conn->get_reader.reset();
-    conn->get_scope.end(static_cast<std::uint64_t>(conn->fd), conn->get_sent);
     if (!st.is_ok()) {
       // Mid-stream failure: the client has partial DATA, so the
       // stream cannot be completed coherently — report and hang up.
+      conn->get_scope.cancel();
       conn->want_close = true;
       return send_err(conn, st);
     }
+    conn->get_scope.end(static_cast<std::uint64_t>(conn->fd), conn->get_sent);
+    NetMetrics::get().req_get.inc();
     return send_frame(conn, Verb::kDataEnd, {});
   }
 

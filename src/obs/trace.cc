@@ -226,14 +226,6 @@ std::vector<TraceEvent> TraceRing::snapshot() const {
   return events;
 }
 
-void TraceRing::reset() noexcept {
-  const std::size_t cap = capacity();
-  for (std::size_t i = 0; i < cap; ++i) {
-    slots_[i].pub.store(0, std::memory_order_relaxed);
-  }
-  head_.store(0, std::memory_order_release);
-}
-
 // ------------------------------------------------------ process tracing
 
 namespace detail {

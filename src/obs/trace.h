@@ -151,10 +151,6 @@ class TraceRing {
   /// threads only).
   std::vector<TraceEvent> snapshot() const;
 
-  /// Drop every event and reset counters.  NOT safe concurrently with
-  /// emitters or readers — bench harnesses only, between arms.
-  void reset() noexcept;
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> pub{0};  ///< claim seq + 1; 0 = empty

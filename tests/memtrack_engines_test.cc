@@ -1,6 +1,5 @@
 // Per-engine behavioural tests: attach/detach lifecycle, arm/collect
-// semantics, fault absorption (mprotect), pagemap scanning (soft-dirty),
-// and explicit notification.
+// semantics, fault absorption (mprotect), and explicit notification.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +9,6 @@
 #include "memtrack/explicit_engine.h"
 #include "memtrack/fault_table.h"
 #include "memtrack/mprotect_engine.h"
-#include "memtrack/softdirty_engine.h"
 #include "memtrack/tracker.h"
 
 namespace ickpt::memtrack {
@@ -249,60 +247,6 @@ TEST(MProtectEngineTest, SnapshotReportsBytes) {
   EXPECT_EQ(snap->tracked_bytes(), 4 * page_size());
 }
 
-// --------------------------------------------------------------- softdirty
-
-class SoftDirtyTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!soft_dirty_supported()) {
-      GTEST_SKIP() << "soft-dirty not supported in this kernel";
-    }
-  }
-};
-
-TEST_F(SoftDirtyTest, TracksSingleWrite) {
-  auto engine = SoftDirtyEngine::create();
-  ASSERT_TRUE(engine.is_ok());
-  PageArena arena(8 * page_size());
-  arena.prefault();
-  auto id = (*engine)->attach(arena.span(), "sd");
-  ASSERT_TRUE(id.is_ok());
-  ASSERT_TRUE((*engine)->arm().is_ok());
-  arena.data()[5 * page_size()] = std::byte{1};
-  auto snap = (*engine)->collect(false);
-  ASSERT_TRUE(snap.is_ok());
-  auto pages = dirty_pages_of(*snap, *id);
-  ASSERT_EQ(pages.size(), 1u);
-  EXPECT_EQ(pages[0], 5u);
-}
-
-TEST_F(SoftDirtyTest, RearmClearsBits) {
-  auto engine = SoftDirtyEngine::create();
-  ASSERT_TRUE(engine.is_ok());
-  PageArena arena(4 * page_size());
-  arena.prefault();
-  ASSERT_TRUE((*engine)->attach(arena.span(), "sd").is_ok());
-  ASSERT_TRUE((*engine)->arm().is_ok());
-  arena.data()[0] = std::byte{1};
-  auto s1 = (*engine)->collect(/*rearm=*/true);
-  ASSERT_TRUE(s1.is_ok());
-  EXPECT_EQ(s1->dirty_pages(), 1u);
-  auto s2 = (*engine)->collect(false);
-  ASSERT_TRUE(s2.is_ok());
-  EXPECT_EQ(s2->dirty_pages(), 0u);
-}
-
-TEST_F(SoftDirtyTest, ScanCountsPages) {
-  auto engine = SoftDirtyEngine::create();
-  ASSERT_TRUE(engine.is_ok());
-  PageArena arena(16 * page_size());
-  arena.prefault();
-  ASSERT_TRUE((*engine)->attach(arena.span(), "sd").is_ok());
-  ASSERT_TRUE((*engine)->arm().is_ok());
-  ASSERT_TRUE((*engine)->collect(false).is_ok());
-  EXPECT_GE((*engine)->counters().pages_scanned, 16u);
-}
-
 // ---------------------------------------------------------------- explicit
 
 TEST(ExplicitEngineTest, NotedWritesAppear) {
@@ -368,18 +312,18 @@ TEST(FactoryTest, MakesEachKind) {
   ASSERT_TRUE(ex.is_ok());
   EXPECT_EQ((*ex)->kind(), EngineKind::kExplicit);
 
-  auto sd = make_tracker(EngineKind::kSoftDirty);
-  if (soft_dirty_supported()) {
-    ASSERT_TRUE(sd.is_ok());
-    EXPECT_EQ((*sd)->kind(), EngineKind::kSoftDirty);
+  auto uf = make_tracker(EngineKind::kUffd);
+  if (uffd_supported()) {
+    ASSERT_TRUE(uf.is_ok());
+    EXPECT_EQ((*uf)->kind(), EngineKind::kUffd);
   } else {
-    EXPECT_EQ(sd.status().code(), ErrorCode::kUnsupported);
+    EXPECT_EQ(uf.status().code(), ErrorCode::kUnsupported);
   }
 }
 
 TEST(FactoryTest, KindNames) {
   EXPECT_EQ(to_string(EngineKind::kMProtect), "mprotect");
-  EXPECT_EQ(to_string(EngineKind::kSoftDirty), "softdirty");
+  EXPECT_EQ(to_string(EngineKind::kUffd), "uffd");
   EXPECT_EQ(to_string(EngineKind::kExplicit), "explicit");
 }
 

@@ -2,16 +2,23 @@
 //
 // Core invariant: for any write pattern, every engine must report
 // exactly the set of pages covered by the writes (the mprotect and
-// soft-dirty engines at page precision, the explicit engine by
-// construction).  The engines must agree with each other.
+// uffd engines at page precision, the explicit engine by construction).
+// The engines must agree with each other, on random patterns and on
+// every catalog proxy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "apps/catalog.h"
+#include "apps/scripted_kernel.h"
 #include "common/arena.h"
 #include "common/rng.h"
 #include "memtrack/tracker.h"
+#include "sim/sampler.h"
+#include "sim/virtual_clock.h"
 
 namespace ickpt::memtrack {
 namespace {
@@ -31,9 +38,6 @@ std::string param_name(const ::testing::TestParamInfo<Params>& info) {
 class EnginePropertyTest : public ::testing::TestWithParam<Params> {
  protected:
   void SetUp() override {
-    if (GetParam().kind == EngineKind::kSoftDirty && !soft_dirty_supported()) {
-      GTEST_SKIP() << "soft-dirty unsupported";
-    }
     if (GetParam().kind == EngineKind::kUffd && !uffd_supported()) {
       GTEST_SKIP() << "userfaultfd-wp unsupported";
     }
@@ -53,32 +57,38 @@ class EnginePropertyTest : public ::testing::TestWithParam<Params> {
     }
   }
 
+  /// Arms one arena, writes a seeded set of its pages, and requires
+  /// exactly that set back.  Without `prefault` no page is resident
+  /// when the arena is armed.
+  void expect_exactly_written(bool prefault, std::uint64_t seed) {
+    const std::size_t pages = GetParam().pages;
+    PageArena arena(pages * page_size());
+    if (prefault) arena.prefault();
+    Rng rng(seed);
+
+    ASSERT_TRUE(tracker_->attach(arena.span(), "prop").is_ok());
+    ASSERT_TRUE(tracker_->arm().is_ok());
+
+    std::set<std::size_t> expected;
+    std::size_t writes = 1 + rng.next_index(pages);
+    for (std::size_t i = 0; i < writes; ++i) {
+      expected.insert(rng.next_index(pages));
+    }
+    write_pages(arena, expected, rng);
+
+    auto snap = tracker_->collect(false);
+    ASSERT_TRUE(snap.is_ok());
+    ASSERT_EQ(snap->regions.size(), 1u);
+    const auto& dirty = snap->regions[0].dirty_pages;
+    std::set<std::size_t> got(dirty.begin(), dirty.end());
+    EXPECT_EQ(got, expected);
+  }
+
   std::unique_ptr<DirtyTracker> tracker_;
 };
 
 TEST_P(EnginePropertyTest, ReportsExactlyTheWrittenPages) {
-  const auto& p = GetParam();
-  PageArena arena(p.pages * page_size());
-  arena.prefault();
-  Rng rng(p.seed);
-
-  auto id = tracker_->attach(arena.span(), "prop");
-  ASSERT_TRUE(id.is_ok());
-  ASSERT_TRUE(tracker_->arm().is_ok());
-
-  std::set<std::size_t> expected;
-  std::size_t writes = 1 + rng.next_index(p.pages);
-  for (std::size_t i = 0; i < writes; ++i) {
-    expected.insert(rng.next_index(p.pages));
-  }
-  write_pages(arena, expected, rng);
-
-  auto snap = tracker_->collect(false);
-  ASSERT_TRUE(snap.is_ok());
-  ASSERT_EQ(snap->regions.size(), 1u);
-  const auto& dirty = snap->regions[0].dirty_pages;
-  std::set<std::size_t> got(dirty.begin(), dirty.end());
-  EXPECT_EQ(got, expected);
+  expect_exactly_written(/*prefault=*/true, GetParam().seed);
 }
 
 TEST_P(EnginePropertyTest, ConsecutiveIntervalsAreIndependent) {
@@ -140,21 +150,23 @@ TEST_P(EnginePropertyTest, FullSweepDirtiesEverything) {
   EXPECT_EQ(snap->dirty_bytes(), arena.size());
 }
 
+TEST_P(EnginePropertyTest, TracksWritesToNeverPopulatedPages) {
+  expect_exactly_written(/*prefault=*/false, GetParam().seed * 31);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, EnginePropertyTest,
     ::testing::Values(
         Params{EngineKind::kMProtect, 16, 1}, Params{EngineKind::kMProtect, 64, 2},
         Params{EngineKind::kMProtect, 257, 3},
-        Params{EngineKind::kSoftDirty, 16, 1}, Params{EngineKind::kSoftDirty, 64, 2},
-        Params{EngineKind::kSoftDirty, 257, 3},
         Params{EngineKind::kUffd, 16, 1}, Params{EngineKind::kUffd, 64, 2},
         Params{EngineKind::kUffd, 257, 3},
         Params{EngineKind::kExplicit, 16, 1}, Params{EngineKind::kExplicit, 64, 2},
         Params{EngineKind::kExplicit, 257, 3}),
     param_name);
 
-// Cross-engine agreement: run the same pattern through mprotect and
-// explicit (and soft-dirty when available) and require identical sets.
+// Cross-engine agreement: run the same pattern through mprotect,
+// explicit and uffd and require identical sets.
 TEST(EngineEquivalenceTest, EnginesAgreeOnRandomPatterns) {
   constexpr std::size_t kPages = 128;
   for (std::uint64_t seed = 100; seed < 106; ++seed) {
@@ -165,11 +177,6 @@ TEST(EngineEquivalenceTest, EnginesAgreeOnRandomPatterns) {
     auto ex = make_tracker(EngineKind::kExplicit);
     ASSERT_TRUE(ex.is_ok());
     trackers.push_back(std::move(ex.value()));
-    if (soft_dirty_supported()) {
-      auto sd = make_tracker(EngineKind::kSoftDirty);
-      ASSERT_TRUE(sd.is_ok());
-      trackers.push_back(std::move(sd.value()));
-    }
     if (uffd_supported()) {
       auto uf = make_tracker(EngineKind::kUffd);
       ASSERT_TRUE(uf.is_ok());
@@ -198,6 +205,54 @@ TEST(EngineEquivalenceTest, EnginesAgreeOnRandomPatterns) {
     for (std::size_t i = 1; i < results.size(); ++i) {
       EXPECT_EQ(results[0], results[i])
           << "engine " << i << " disagrees at seed " << seed;
+    }
+  }
+}
+
+/// Per-slice dirty sets of one proxy run: (region name, page indices)
+/// for every region of every slice.
+using SliceSets =
+    std::vector<std::vector<std::pair<std::string, std::vector<std::uint32_t>>>>;
+
+SliceSets run_proxy(const std::string& app, EngineKind kind) {
+  SliceSets slices;
+  auto tracker = make_tracker(kind);
+  EXPECT_TRUE(tracker.is_ok()) << tracker.status().to_string();
+  if (!tracker.is_ok()) return slices;
+  sim::VirtualClock clock;
+  apps::AppConfig config;
+  config.footprint_scale = 1.0 / 256.0;
+  config.seed = 11;
+  auto kernel = apps::make_app(app, config, **tracker, clock);
+  EXPECT_TRUE(kernel.is_ok()) << app;
+  if (!kernel.is_ok()) return slices;
+  EXPECT_TRUE((*kernel)->init().is_ok()) << app;
+
+  sim::SamplerOptions options;
+  options.timeslice = (*kernel)->period() / 2;
+  options.on_sample = [&slices](const trace::Sample&,
+                                const DirtySnapshot& snap) {
+    auto& slice = slices.emplace_back();
+    for (const auto& r : snap.regions) slice.emplace_back(r.name, r.dirty_pages);
+  };
+  sim::TimesliceSampler sampler(**tracker, clock, options);
+  EXPECT_TRUE(sampler.start().is_ok());
+  EXPECT_TRUE(
+      (*kernel)->run_until(clock, clock.now() + 4 * options.timeslice).is_ok())
+      << app;
+  sampler.stop();
+  return slices;
+}
+
+TEST(CatalogEquivalenceTest, ProxiesDirtyTheSamePagesUnderMProtectAndUffd) {
+  if (!uffd_supported()) GTEST_SKIP() << "userfaultfd-wp unsupported";
+  for (const auto& app : apps::catalog_names()) {
+    const SliceSets mp = run_proxy(app, EngineKind::kMProtect);
+    const SliceSets uf = run_proxy(app, EngineKind::kUffd);
+    ASSERT_GE(mp.size(), 3u) << app;
+    ASSERT_EQ(mp.size(), uf.size()) << app;
+    for (std::size_t i = 0; i < mp.size(); ++i) {
+      EXPECT_EQ(mp[i], uf[i]) << app << " slice " << i;
     }
   }
 }

@@ -36,7 +36,8 @@ TEST_F(UffdTest, TracksSingleWrite) {
   ASSERT_EQ(snap->regions.size(), 1u);
   ASSERT_EQ(snap->regions[0].dirty_pages.size(), 1u);
   EXPECT_EQ(snap->regions[0].dirty_pages[0], 3u);
-  EXPECT_EQ(engine_->counters().faults_handled, 1u);
+  // Async mode: the kernel resolves the fault; none reaches user space.
+  EXPECT_EQ(engine_->counters().faults_handled, 0u);
 }
 
 TEST_F(UffdTest, RepeatedWritesFaultOnce) {
@@ -48,7 +49,6 @@ TEST_F(UffdTest, RepeatedWritesFaultOnce) {
   auto snap = engine_->collect(false);
   ASSERT_TRUE(snap.is_ok());
   EXPECT_EQ(snap->dirty_pages(), 1u);
-  EXPECT_EQ(engine_->counters().faults_handled, 1u);
 }
 
 TEST_F(UffdTest, RearmCyclesCleanly) {

@@ -15,10 +15,6 @@ class MonitorEngineTest
     : public ::testing::TestWithParam<memtrack::EngineKind> {
  protected:
   void SetUp() override {
-    if (GetParam() == memtrack::EngineKind::kSoftDirty &&
-        !memtrack::soft_dirty_supported()) {
-      GTEST_SKIP() << "soft-dirty unsupported";
-    }
     if (GetParam() == memtrack::EngineKind::kUffd &&
         !memtrack::uffd_supported()) {
       GTEST_SKIP() << "userfaultfd-wp unsupported";
@@ -59,7 +55,6 @@ TEST_P(MonitorEngineTest, TracksSteadyWriter) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, MonitorEngineTest,
     ::testing::Values(memtrack::EngineKind::kMProtect,
-                      memtrack::EngineKind::kSoftDirty,
                       memtrack::EngineKind::kUffd,
                       memtrack::EngineKind::kExplicit),
     [](const auto& info) {

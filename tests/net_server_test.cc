@@ -126,9 +126,14 @@ class RawClient {
 
 class NetServerTest : public ::testing::Test {
  protected:
-  void start(ServerOptions options = {}) {
+  /// Serves an in-memory store whose writes fail once
+  /// `fail_after_bytes` payload bytes have been written in total.
+  void start(ServerOptions options = {},
+             std::uint64_t fail_after_bytes = ~std::uint64_t{0}) {
     backend_ = storage::make_memory_backend();
-    auto server = Server::create(*backend_, options);
+    faulty_ =
+        std::make_unique<storage::FaultyBackend>(*backend_, fail_after_bytes);
+    auto server = Server::create(*faulty_, options);
     ASSERT_TRUE(server.is_ok()) << server.status().message();
     server_ = std::move(server.value());
     serve_thread_ = std::thread([this] { serve_status_ = server_->serve(); });
@@ -153,6 +158,7 @@ class NetServerTest : public ::testing::Test {
   }
 
   std::unique_ptr<storage::StorageBackend> backend_;
+  std::unique_ptr<storage::FaultyBackend> faulty_;
   std::unique_ptr<Server> server_;
   std::thread serve_thread_;
   Status serve_status_;
@@ -337,6 +343,66 @@ TEST_F(NetServerTest, DroppedConnectionsCloseTheirRequestSpans) {
   auto listed = backend_->list();
   ASSERT_TRUE(listed.is_ok());
   EXPECT_EQ(listed->size(), 1u);  // only "big": no torn PUT published
+}
+
+TEST_F(NetServerTest, RequestCountersMatchStageCounts) {
+  start({}, /*fail_after_bytes=*/64 * 1024);
+  auto& registry = obs::registry();
+  auto& req_put = registry.counter("net.req_put");
+  auto& req_get = registry.counter("net.req_get");
+  auto& put_ns = registry.histogram("net.put_ns");
+  auto& get_ns = registry.histogram("net.get_ns");
+  const std::uint64_t puts0 = req_put.value();
+  const std::uint64_t gets0 = req_get.value();
+  const std::uint64_t put_runs0 = put_ns.count();
+  const std::uint64_t get_runs0 = get_ns.count();
+  {
+    RawClient client;
+    ASSERT_TRUE(client.connect_to(server_->port()));
+    ASSERT_TRUE(client.hello().is_ok());
+    // Completed: one PUT, then one GET of it.
+    ASSERT_TRUE(
+        client.send_frame(Verb::kPutBegin, build_key_only("ok")).is_ok());
+    ASSERT_TRUE(
+        client.send_frame(Verb::kPutData, pattern_bytes(1000, 21)).is_ok());
+    ASSERT_TRUE(client.send_frame(Verb::kPutEnd, {}).is_ok());
+    auto ack = client.recv_frame();
+    ASSERT_TRUE(ack.is_ok());
+    EXPECT_EQ(ack->header.verb, Verb::kOk);
+    ASSERT_TRUE(client.send_frame(Verb::kGet, build_get({"ok"})).is_ok());
+    for (;;) {
+      auto frame = client.recv_frame();
+      ASSERT_TRUE(frame.is_ok());
+      if (frame->header.verb == Verb::kDataEnd) break;
+      ASSERT_EQ(frame->header.verb, Verb::kData);
+    }
+    // Backend-failed: a GET of a missing object, then a PUT that runs
+    // past the backend's write budget (the server hangs up after it).
+    ASSERT_TRUE(client.send_frame(Verb::kGet, build_get({"missing"})).is_ok());
+    auto missing = client.recv_frame();
+    ASSERT_TRUE(missing.is_ok());
+    EXPECT_EQ(missing->header.verb, Verb::kErr);
+    ASSERT_TRUE(
+        client.send_frame(Verb::kPutBegin, build_key_only("big")).is_ok());
+    ASSERT_TRUE(client.send_frame(Verb::kPutData, pattern_bytes(128 * 1024, 22))
+                    .is_ok());
+    auto failed = client.recv_frame();
+    ASSERT_TRUE(failed.is_ok());
+    EXPECT_EQ(failed->header.verb, Verb::kErr);
+  }
+  {  // Dropped: the client vanishes mid-PUT.
+    RawClient client;
+    ASSERT_TRUE(client.connect_to(server_->port()));
+    ASSERT_TRUE(client.hello().is_ok());
+    ASSERT_TRUE(
+        client.send_frame(Verb::kPutBegin, build_key_only("torn")).is_ok());
+  }
+  ASSERT_TRUE(eventually([&] { return server_->open_connections() == 0; }));
+
+  EXPECT_EQ(req_put.value() - puts0, 1u);
+  EXPECT_EQ(req_get.value() - gets0, 1u);
+  EXPECT_EQ(put_ns.count() - put_runs0, req_put.value() - puts0);
+  EXPECT_EQ(get_ns.count() - get_runs0, req_get.value() - gets0);
 }
 
 TEST_F(NetServerTest, TenantsAreIsolated) {

@@ -96,16 +96,6 @@ TEST(TraceRingTest, ReadRecentTruncatesToMax) {
   EXPECT_EQ(ring.read_recent(out, 0), 0u);
 }
 
-TEST(TraceRingTest, ResetDropsEverything) {
-  const std::uint16_t id = trace_name("test.trace.reset");
-  TraceRing ring(16);
-  for (int i = 0; i < 40; ++i) ring.emit(ticks(), id, TracePhase::kInstant);
-  ring.reset();
-  EXPECT_EQ(ring.emitted(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
-}
-
 TEST(TraceRingTest, ConcurrentEmittersLoseNothingWhenSized) {
   // 4 threads x 4096 events into a 32768-slot ring: nothing wraps, so
   // every event must come out exactly once with its payload intact.
