@@ -211,115 +211,44 @@ int main(int argc, char** argv) {
                           2)});
     }
   }
-  // File-backed arms: the same chain on a real filesystem, decoded
-  // once through buffered read_at and once through the zero-copy mmap
-  // path (RestoreOptions::map_reads) — the ablation behind the
-  // map-reads default.  Byte identity with the written state is
-  // asserted as above.
-  {
-    const int incrementals = args.quick ? 3 : 7;
-    const std::string dir = "ablation_restore_chain";
+  // On-disk arms: the same shape of chain in a one-file-per-object
+  // store and in the log-structured segment store, restored by the
+  // pool.  Byte identity with the written state is asserted as above.
+  const int disk_incrementals = args.quick ? 3 : 7;
+  const std::string disk_label = "1+" + std::to_string(disk_incrementals);
+  for (const bool segment : {false, true}) {
+    const std::string kind = segment ? "segment" : "file";
+    const std::string dir = "ablation_restore_" + kind + "_chain";
     std::filesystem::remove_all(dir);
-    auto file_backend = storage::make_file_backend(dir);
-    if (!file_backend.is_ok()) {
-      std::cerr << "file backend: " << file_backend.status().to_string()
-                << "\n";
+    auto store = segment ? storage::make_segment_backend(dir)
+                         : storage::make_file_backend(dir);
+    if (!store.is_ok()) {
+      std::cerr << kind << " backend: " << store.status().to_string() << "\n";
       return 1;
     }
     const checkpoint::RestoredState written =
-        build_chain(**file_backend, mb, incrementals, rng);
-    const std::string chain_label = "1+" + std::to_string(incrementals);
-
-    double read_secs = 0;
-    for (bool map_reads : {false, true}) {
-      checkpoint::RestoreOptions opts;
-      opts.decode_threads = pool_threads;
-      opts.map_reads = map_reads;
-      Timed t;
-      bench_json.run_arm(std::string("file_chain") + chain_label +
-                             (map_reads ? "_mmap" : "_read"),
-                         arm_bytes, [&] {
-                           t = time_restore(
-                               [&] {
-                                 auto s = checkpoint::restore_chain(
-                                     **file_backend, 0, opts);
-                                 if (!s.is_ok()) std::exit(1);
-                                 if (!states_identical(written, *s)) {
-                                   std::cerr << "BYTE IDENTITY FAILED: "
-                                                "file-backed map_reads="
-                                             << map_reads << "\n";
-                                   std::exit(1);
-                                 }
-                               },
-                               reps);
-                         });
-      if (!map_reads) read_secs = t.seconds;
-      table.add_row(
-          {chain_label + " (file)", map_reads ? "mmap decode" : "read decode",
-           TextTable::num(t.seconds, 4),
-           TextTable::num(static_cast<double>(mb) / t.seconds, 0),
-           TextTable::num(static_cast<double>(t.decoded), 0),
-           TextTable::num(static_cast<double>(t.skipped), 0),
-           TextTable::num(map_reads && t.seconds > 0
-                              ? read_secs / t.seconds
-                              : 1.0,
-                          2)});
-    }
-    std::filesystem::remove_all(dir);
-  }
-  // Segment-backed arms: the same shape of chain in the log-structured
-  // store, decoded through read_at and through per-object mmap windows.
-  // Byte identity with the written state is asserted as above.
-  {
-    const int incrementals = args.quick ? 3 : 7;
-    const std::string dir = "ablation_restore_segchain";
-    std::filesystem::remove_all(dir);
-    auto seg_backend = storage::make_segment_backend(dir);
-    if (!seg_backend.is_ok()) {
-      std::cerr << "segment backend: " << seg_backend.status().to_string()
-                << "\n";
-      return 1;
-    }
-    const checkpoint::RestoredState written =
-        build_chain(**seg_backend, mb, incrementals, rng);
-    const std::string chain_label = "1+" + std::to_string(incrementals);
-
-    double read_secs = 0;
-    for (bool map_reads : {false, true}) {
-      checkpoint::RestoreOptions opts;
-      opts.decode_threads = pool_threads;
-      opts.map_reads = map_reads;
-      Timed t;
-      bench_json.run_arm(std::string("segment_chain") + chain_label +
-                             (map_reads ? "_mmap" : "_read"),
-                         arm_bytes, [&] {
-                           t = time_restore(
-                               [&] {
-                                 auto s = checkpoint::restore_chain(
-                                     **seg_backend, 0, opts);
-                                 if (!s.is_ok()) std::exit(1);
-                                 if (!states_identical(written, *s)) {
-                                   std::cerr << "BYTE IDENTITY FAILED: "
-                                                "segment-backed map_reads="
-                                             << map_reads << "\n";
-                                   std::exit(1);
-                                 }
-                               },
-                               reps);
-                         });
-      if (!map_reads) read_secs = t.seconds;
-      table.add_row(
-          {chain_label + " (seg)", map_reads ? "mmap decode" : "read decode",
-           TextTable::num(t.seconds, 4),
-           TextTable::num(static_cast<double>(mb) / t.seconds, 0),
-           TextTable::num(static_cast<double>(t.decoded), 0),
-           TextTable::num(static_cast<double>(t.skipped), 0),
-           TextTable::num(map_reads && t.seconds > 0
-                              ? read_secs / t.seconds
-                              : 1.0,
-                          2)});
-    }
-    seg_backend->reset();
+        build_chain(**store, mb, disk_incrementals, rng);
+    checkpoint::RestoreOptions opts;
+    opts.decode_threads = pool_threads;
+    Timed t;
+    bench_json.run_arm(kind + "_chain" + disk_label, arm_bytes, [&] {
+      t = time_restore(
+          [&] {
+            auto s = checkpoint::restore_chain(**store, 0, opts);
+            if (!s.is_ok()) std::exit(1);
+            if (!states_identical(written, *s)) {
+              std::cerr << "BYTE IDENTITY FAILED: " << kind << "-backed\n";
+              std::exit(1);
+            }
+          },
+          reps);
+    });
+    table.add_row({disk_label + " (" + kind + ")", "planned pool",
+                   TextTable::num(t.seconds, 4),
+                   TextTable::num(static_cast<double>(mb) / t.seconds, 0),
+                   TextTable::num(static_cast<double>(t.decoded), 0),
+                   TextTable::num(static_cast<double>(t.skipped), 0), "-"});
+    store->reset();
     std::filesystem::remove_all(dir);
   }
 

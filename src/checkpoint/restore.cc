@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string_view>
 
@@ -27,7 +28,6 @@ struct RestoreMetrics {
   obs::Counter& pages_decoded;
   obs::Counter& pages_skipped;
   obs::Counter& bytes_read;
-  obs::Counter& bytes_mapped;  ///< of bytes_read, served zero-copy
   obs::Counter& truncated_tails;
   obs::Stage& plan;
   obs::Stage& decode;        ///< every shard of one attempt
@@ -43,7 +43,6 @@ struct RestoreMetrics {
                             r.counter("restore.pages_decoded"),
                             r.counter("restore.pages_skipped"),
                             r.counter("restore.bytes_read"),
-                            r.counter("restore.bytes_mapped"),
                             r.counter("restore.truncated_tails"),
                             obs::stage("restore.plan", cat),
                             obs::stage("restore.decode", cat),
@@ -333,7 +332,6 @@ struct DecodeShard {
   std::uint32_t crc = 0;  ///< CRC of the byte range (set by the worker)
   std::uint32_t decoded = 0;
   std::uint32_t skipped = 0;
-  bool mapped = false;  ///< served from a zero-copy mapping
   Status status;  ///< per-shard result
 };
 
@@ -362,16 +360,13 @@ Status read_range(storage::Reader& in, std::uint64_t offset,
   return read_exact(in, out, kTruncated);
 }
 
-/// Decode one shard: read its byte range, CRC it, decode the winner
-/// pages straight into the final block buffers.  Shards touch disjoint
-/// output pages, so workers never race.  When the backend supports
-/// map_at() (and the caller allows it) the byte range is a zero-copy
-/// view of the object; otherwise it is read into a shard-local buffer.
-/// CRC coverage and decoded bytes are identical either way.
+/// Decode one shard: read its byte range into a shard buffer, CRC it,
+/// decode the winner pages straight into the final block buffers.
+/// Shards touch disjoint output pages, so workers never race.
 void run_shard(storage::StorageBackend& storage,
                const std::vector<ObjectPlan>& objs,
                const std::map<std::uint32_t, std::byte*>& out_base,
-               bool map_reads, const obs::Stage* stage, DecodeShard& s) {
+               const obs::Stage* stage, DecodeShard& s) {
   obs::Stage::Scope scope;
   if (stage != nullptr) scope = stage->begin(s.page_count, s.length);
   const ObjectPlan& obj = objs[s.obj_idx];
@@ -380,29 +375,12 @@ void run_shard(storage::StorageBackend& storage,
     s.status = reader.status();
     return;
   }
-  std::span<const std::byte> bytes;
-  std::vector<std::byte> buf;
-  if (map_reads && (*reader)->supports_map()) {
-    auto mapped = (*reader)->map_at(s.offset,
-                                    static_cast<std::size_t>(s.length));
-    if (mapped.is_ok()) {
-      bytes = *mapped;
-      s.mapped = true;
-    } else if (mapped.status().code() == ErrorCode::kCorruption) {
-      // The range came from the object's own plan; a short object is
-      // damage, not a reason to retry through the buffered path.
-      s.status = mapped.status();
-      return;
-    }
-    // Any other failure (transient mmap exhaustion, decorator without
-    // pass-through): fall back to the buffered read below.
-  }
-  if (!s.mapped) {
-    buf.resize(static_cast<std::size_t>(s.length));
-    s.status = read_range(**reader, s.offset, buf);
-    if (!s.status.is_ok()) return;
-    bytes = buf;
-  }
+  const auto len = static_cast<std::size_t>(s.length);
+  // Every byte is overwritten by the read, so skip the zero-fill.
+  const auto buf = std::make_unique_for_overwrite<std::byte[]>(len);
+  const std::span<std::byte> bytes{buf.get(), len};
+  s.status = read_range(**reader, s.offset, bytes);
+  if (!s.status.is_ok()) return;
   s.crc = crc32(bytes);
 
   const std::size_t psize = obj.header.page_size;
@@ -468,10 +446,10 @@ std::vector<DecodeShard> make_shards(const std::vector<ObjectPlan>& objs,
 void run_shards(storage::StorageBackend& storage,
                 const std::vector<ObjectPlan>& objs,
                 const std::map<std::uint32_t, std::byte*>& out_base,
-                bool map_reads, int threads, const obs::Stage* stage,
+                int threads, const obs::Stage* stage,
                 std::vector<DecodeShard>& shards) {
   auto decode = [&](DecodeShard& s) {
-    run_shard(storage, objs, out_base, map_reads, stage, s);
+    run_shard(storage, objs, out_base, stage, s);
   };
   if (threads > 1 && shards.size() > 1) {
     ThreadPool pool(static_cast<std::size_t>(threads));
@@ -487,7 +465,6 @@ struct ShardTotals {
   std::uint64_t decoded = 0;
   std::uint64_t skipped = 0;
   std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_mapped = 0;
 };
 
 /// Surface shard failures (oldest object first, so a tolerant retry
@@ -507,7 +484,6 @@ Status stitch(const std::vector<ObjectPlan>& objs,
       totals->decoded += s.decoded;
       totals->skipped += s.skipped;
       totals->bytes_read += s.length;
-      if (s.mapped) totals->bytes_mapped += s.length;
     }
     Crc32 fold;
     std::size_t si = first;
@@ -536,7 +512,7 @@ Status stitch(const std::vector<ObjectPlan>& objs,
 Result<RestoredState> attempt(storage::StorageBackend& storage,
                               std::uint32_t rank, std::uint64_t upto,
                               int threads, bool truncate_tail,
-                              bool map_reads, std::uint64_t* failed_seq,
+                              std::uint64_t* failed_seq,
                               bool* have_failed_seq) {
   auto& metrics = RestoreMetrics::get();
   auto plan_scope = metrics.plan.begin(upto);
@@ -735,8 +711,8 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   plan_scope.end(total_pages, shards.size());
 
   auto decode_scope = metrics.decode.begin(shards.size());
-  run_shards(storage, objs, out_base, map_reads, threads,
-             &metrics.decode_shard, shards);
+  run_shards(storage, objs, out_base, threads, &metrics.decode_shard,
+             shards);
   decode_scope.end();
 
   auto stitch_scope = metrics.stitch.begin();
@@ -754,7 +730,6 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   metrics.pages_decoded.inc(totals.decoded);
   metrics.pages_skipped.inc(totals.skipped);
   metrics.bytes_read.inc(totals.bytes_read);
-  metrics.bytes_mapped.inc(totals.bytes_mapped);
   return state;
 }
 
@@ -821,8 +796,7 @@ Result<RestoredState> read_checkpoint_file(storage::StorageBackend& storage,
   // One thread and no restore.* metrics or spans: fsck reads every
   // object this way, and its reads are not restores.
   std::vector<DecodeShard> shards = make_shards(objs, 1);
-  run_shards(storage, objs, out_base, /*map_reads=*/true, 1,
-             /*stage=*/nullptr, shards);
+  run_shards(storage, objs, out_base, 1, /*stage=*/nullptr, shards);
   ShardTotals totals;
   std::size_t bad_obj = 0;
   ICKPT_RETURN_IF_ERROR(stitch(objs, shards, &totals, &bad_obj));
@@ -841,8 +815,8 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
     std::uint64_t failed_seq = 0;
     bool have_failed_seq = false;
     auto state = attempt(storage, rank, upto, threads,
-                         options.allow_truncated_tail, options.map_reads,
-                         &failed_seq, &have_failed_seq);
+                         options.allow_truncated_tail, &failed_seq,
+                         &have_failed_seq);
     if (state.is_ok()) return state;
     if (!options.allow_truncated_tail ||
         state.status().code() != ErrorCode::kCorruption ||

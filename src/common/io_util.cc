@@ -24,6 +24,23 @@ Result<std::size_t> read_full(int fd, std::span<std::byte> out) {
   return got_total;
 }
 
+Status pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
+                   const std::string& what) {
+  auto* p = static_cast<std::byte*>(buf);
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t got =
+        ::pread(fd, p + done, n - done, static_cast<off_t>(offset + done));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return io_error("pread failed: " + what + ": " + std::strerror(errno));
+    }
+    if (got == 0) return corruption("short read in " + what);
+    done += static_cast<std::size_t>(got);
+  }
+  return Status::ok();
+}
+
 Status write_full(int fd, std::span<const std::byte> data) {
   std::size_t done = 0;
   while (done < data.size()) {

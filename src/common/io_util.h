@@ -3,9 +3,10 @@
 // EINTR and partial transfers the same way.
 //
 // Two layers:
-//   * fd-level read_full/write_full — retry EINTR, loop over short
-//     counts.  read_full stops early only at EOF; write_full either
-//     moves every byte or returns the errno as kIoError.
+//   * fd-level read_full/write_full/pread_exact — retry EINTR, loop
+//     over short counts.  read_full stops early only at EOF; write_full
+//     either moves every byte or returns the errno as kIoError;
+//     pread_exact reads a planned range, so EOF first is kCorruption.
 //   * a generic read_full over any "read(span) -> Result<size_t>"
 //     callable (storage::Reader::read has exactly that shape), for
 //     code that must read an exact number of bytes from a streaming
@@ -13,7 +14,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
 
 #include "common/status.h"
 
@@ -23,6 +26,13 @@ namespace ickpt::ioutil {
 /// Retries EINTR and short reads.  Returns the byte count: out.size()
 /// normally, less only when EOF truncated the read.
 Result<std::size_t> read_full(int fd, std::span<std::byte> out);
+
+/// Read exactly `n` bytes of `fd` at `offset` into `buf`, retrying
+/// EINTR and short reads; the file position is untouched.  A file that
+/// ends first is kCorruption, a failed pread kIoError; `what` (the
+/// path) names the file in both messages.
+Status pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
+                   const std::string& what);
 
 /// Write all of `data` to `fd`, retrying EINTR and short writes.
 Status write_full(int fd, std::span<const std::byte> data);

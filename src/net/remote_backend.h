@@ -10,9 +10,8 @@
 // PUT_ABORT — the partial object is never visible server-side, the
 // same abort-and-discard semantics local writers have.
 //
-// map_at() is unsupported (there is no remote memory to view), so the
-// restore path's mmap fast path transparently falls back to buffered
-// read_at() — same bytes, one extra copy.
+// Restore decode shards read their byte ranges through read_at(), the
+// same path they take on local stores.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "storage/backend.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -146,66 +145,36 @@ class FileWriter final : public Writer {
   std::atomic<std::uint64_t>* total_;
 };
 
+/// Reader over one published object file: one O_RDONLY fd, sized once
+/// by fstat and served by pread (read() keeps its own cursor).
 class FileReader final : public Reader {
  public:
-  explicit FileReader(const fs::path& path)
-      : path_(path), size_(fs::file_size(path)) {
-    is_.open(path, std::ios::binary);
-  }
+  FileReader(std::string path, int fd, std::uint64_t size)
+      : path_(std::move(path)), fd_(fd), size_(size) {}
+  ~FileReader() override { ::close(fd_); }
 
-  ~FileReader() override {
-    if (map_ != nullptr) ::munmap(map_, static_cast<std::size_t>(size_));
-  }
   Result<std::size_t> read(std::span<std::byte> out) override {
-    is_.read(reinterpret_cast<char*>(out.data()),
-             static_cast<std::streamsize>(out.size()));
-    auto got = static_cast<std::size_t>(is_.gcount());
-    if (got == 0 && !is_.eof()) return io_error("file read failed");
+    ICKPT_ASSIGN_OR_RETURN(got, read_at(pos_, out));
+    pos_ += got;
     return got;
   }
   bool supports_read_at() const noexcept override { return true; }
   Result<std::size_t> read_at(std::uint64_t offset,
                               std::span<std::byte> out) override {
     if (offset >= size_) return std::size_t{0};
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(offset));
-    if (!is_) return io_error("file seek failed");
-    is_.read(reinterpret_cast<char*>(out.data()),
-             static_cast<std::streamsize>(out.size()));
-    auto got = static_cast<std::size_t>(is_.gcount());
-    if (got == 0 && !is_.eof()) return io_error("file read failed");
-    return got;
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(out.size(), size_ - offset));
+    ICKPT_RETURN_IF_ERROR(
+        ioutil::pread_exact(fd_, out.data(), n, offset, path_));
+    return n;
   }
-
-  bool supports_map() const noexcept override { return true; }
-  Result<std::span<const std::byte>> map_at(std::uint64_t offset,
-                                            std::size_t length) override {
-    if (length == 0) return std::span<const std::byte>{};
-    if (offset > size_ || length > size_ - offset) {
-      return corruption("map_at past end of object: " + path_.string());
-    }
-    if (map_ == nullptr) {
-      int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) return io_error("open for mmap failed: " + path_.string());
-      void* m = ::mmap(nullptr, static_cast<std::size_t>(size_), PROT_READ,
-                       MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (m == MAP_FAILED) {
-        return io_error("mmap failed: " + path_.string());
-      }
-      map_ = m;
-    }
-    return std::span<const std::byte>{
-        static_cast<const std::byte*>(map_) + offset, length};
-  }
-
   std::uint64_t size() const noexcept override { return size_; }
 
  private:
-  fs::path path_;
-  std::ifstream is_;
+  std::string path_;
+  int fd_;
   std::uint64_t size_;
-  void* map_ = nullptr;  ///< whole-object mmap, created on first map_at
+  std::uint64_t pos_ = 0;
 };
 
 class FileBackend final : public StorageBackend {
@@ -224,10 +193,27 @@ class FileBackend final : public StorageBackend {
   }
 
   Result<std::unique_ptr<Reader>> open(const std::string& key) override {
-    fs::path p = dir_ / key;
-    std::error_code ec;
-    if (!fs::exists(p, ec)) return not_found("no such object: " + key);
-    return std::unique_ptr<Reader>(new FileReader(p));
+    const fs::path p = dir_ / key;
+    const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      if (errno == ENOENT || errno == ENOTDIR) {
+        return not_found("no such object: " + key);
+      }
+      return io_error("open failed: " + key + ": " + std::strerror(errno));
+    }
+    struct stat st {};
+    if (::fstat(fd, &st) != 0) {
+      const int err = errno;
+      ::close(fd);
+      return io_error("fstat failed: " + key + ": " + std::strerror(err));
+    }
+    if (!S_ISREG(st.st_mode)) {
+      ::close(fd);
+      // Such as "rank0", the directory of the "rank0/..." objects.
+      return not_found("no such object: " + key);
+    }
+    return std::unique_ptr<Reader>(new FileReader(
+        p.native(), fd, static_cast<std::uint64_t>(st.st_size)));
   }
 
   Status remove(const std::string& key) override {
@@ -345,17 +331,6 @@ class MemoryReader final : public Reader {
                                             data_->size() - offset);
     std::memcpy(out.data(), data_->data() + offset, n);
     return n;
-  }
-  bool supports_map() const noexcept override { return true; }
-  Result<std::span<const std::byte>> map_at(std::uint64_t offset,
-                                            std::size_t length) override {
-    if (length == 0) return std::span<const std::byte>{};
-    if (offset > data_->size() || length > data_->size() - offset) {
-      return corruption("map_at past end of object");
-    }
-    // The reader shares ownership of the immutable buffer, so the
-    // view outlives concurrent removes of the key.
-    return std::span<const std::byte>{data_->data() + offset, length};
   }
   std::uint64_t size() const noexcept override { return data_->size(); }
 

@@ -37,8 +37,9 @@ class Writer {
 };
 
 /// Sequential reader for one object.  Backends that can serve byte
-/// ranges also implement read_at(), which the parallel restore path
-/// uses to fetch page payloads without streaming the whole object.
+/// ranges also implement read_at(); each restore decode shard uses it
+/// to read its byte range into a buffer of its own, without streaming
+/// the whole object.  Restore has no other way to read page payloads.
 class Reader {
  public:
   virtual ~Reader() = default;
@@ -60,17 +61,8 @@ class Reader {
     return unsupported("read_at not supported by this backend");
   }
 
-  /// True when map_at() is implemented.
+  // Unused in src/; kept since e2e_ledger's TimedReader overrides both.
   virtual bool supports_map() const noexcept { return false; }
-
-  /// Zero-copy view of exactly [offset, offset+length) of the object.
-  /// The span stays valid until the Reader is destroyed; the object is
-  /// immutable, so callers may hold it across decode.  File-backed
-  /// readers serve this from one lazily created read-only mmap of the
-  /// whole object (payload decode then reads mapped pages instead of
-  /// read()+memcpy); memory-backed readers return a view of the stored
-  /// buffer.  Ranges past EOF are kCorruption (the caller planned them
-  /// from the object's own structure, so a short object is damage).
   virtual Result<std::span<const std::byte>> map_at(std::uint64_t offset,
                                                     std::size_t length) {
     (void)offset;

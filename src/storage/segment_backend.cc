@@ -1,7 +1,6 @@
 #include "storage/segment_backend.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,7 +15,6 @@
 
 #include "common/crc32.h"
 #include "common/io_util.h"
-#include "common/page.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
 
@@ -25,6 +23,8 @@ namespace ickpt::storage {
 namespace fs = std::filesystem;
 
 namespace {
+
+using ioutil::pread_exact;
 
 // ------------------------------------------------------------ on-disk
 // Authoritative prose twin: docs/FORMAT.md, "Segment store layout".
@@ -160,39 +160,15 @@ struct IndexEntry {
   std::uint32_t payload_crc = 0;
 };
 
-Status pread_exact(int fd, void* buf, std::size_t n, std::uint64_t off,
-                   const fs::path& path) {
-  std::size_t done = 0;
-  auto* p = static_cast<std::byte*>(buf);
-  while (done < n) {
-    const ssize_t got =
-        ::pread(fd, p + done, n - done, static_cast<off_t>(off + done));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return io_error("pread failed: " + path.string() + ": " +
-                      std::strerror(errno));
-    }
-    if (got == 0) return corruption("short read in " + path.string());
-    done += static_cast<std::size_t>(got);
-  }
-  return Status::ok();
-}
-
 // -------------------------------------------------------------- reader
 
-/// Reader over one committed object.  read()/read_at() are pread into
-/// the shared segment fd; map_at() makes one private read-only mapping
-/// of the object's byte range (page-aligned window), owned by this
-/// reader — identical lifetime rules to FileReader's whole-object map.
+/// Reader over one committed object: read()/read_at() pread the
+/// object's byte range out of the shared segment fd.
 class SegmentReader final : public Reader {
  public:
   SegmentReader(SegPtr seg, std::uint64_t payload_off,
                 std::uint64_t payload_len)
       : seg_(std::move(seg)), off_(payload_off), len_(payload_len) {}
-
-  ~SegmentReader() override {
-    if (map_ != nullptr) ::munmap(map_, map_len_);
-  }
 
   Result<std::size_t> read(std::span<std::byte> out) override {
     ICKPT_ASSIGN_OR_RETURN(got, read_at(pos_, out));
@@ -207,33 +183,9 @@ class SegmentReader final : public Reader {
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(out.size(),
                                                          len_ - offset));
-    ICKPT_RETURN_IF_ERROR(
-        pread_exact(seg_->fd, out.data(), n, off_ + offset, seg_->path));
+    ICKPT_RETURN_IF_ERROR(pread_exact(seg_->fd, out.data(), n, off_ + offset,
+                                      seg_->path.native()));
     return n;
-  }
-
-  bool supports_map() const noexcept override { return true; }
-  Result<std::span<const std::byte>> map_at(std::uint64_t offset,
-                                            std::size_t length) override {
-    if (length == 0) return std::span<const std::byte>{};
-    if (offset > len_ || length > len_ - offset) {
-      return corruption("map_at past end of object: " + seg_->path.string());
-    }
-    if (map_ == nullptr) {
-      const std::uint64_t page = page_size();
-      const std::uint64_t aligned = off_ & ~(page - 1);
-      map_delta_ = static_cast<std::size_t>(off_ - aligned);
-      map_len_ = static_cast<std::size_t>(len_) + map_delta_;
-      void* m = ::mmap(nullptr, map_len_, PROT_READ, MAP_PRIVATE, seg_->fd,
-                       static_cast<off_t>(aligned));
-      if (m == MAP_FAILED) {
-        map_len_ = 0;
-        return io_error("mmap failed: " + seg_->path.string());
-      }
-      map_ = m;
-    }
-    return std::span<const std::byte>{
-        static_cast<const std::byte*>(map_) + map_delta_ + offset, length};
   }
 
   std::uint64_t size() const noexcept override { return len_; }
@@ -242,9 +194,6 @@ class SegmentReader final : public Reader {
   SegPtr seg_;
   std::uint64_t off_, len_;
   std::uint64_t pos_ = 0;
-  void* map_ = nullptr;
-  std::size_t map_len_ = 0;
-  std::size_t map_delta_ = 0;
 };
 
 // ------------------------------------------------------------- backend

@@ -14,6 +14,7 @@
 #include "memtrack/explicit_engine.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
+#include "storage/segment_backend.h"
 
 namespace ickpt::checkpoint {
 namespace {
@@ -136,37 +137,35 @@ TEST_P(CheckpointFuzzTest, EverySequenceRestoresExactly) {
   time_at[meta->sequence] = steps;
 
   // Every recorded sequence must restore to its exact ground truth and
-  // virtual time, with inline and pooled decode, mapped and buffered.
+  // virtual time, with inline and pooled decode.
   for (const auto& [seq, truth] : truth_at) {
     for (int threads : {1, 4}) {
-      for (bool map_reads : {false, true}) {
-        RestoreOptions ropts;
-        ropts.upto = seq;
-        ropts.decode_threads = threads;
-        ropts.map_reads = map_reads;
-        auto state = restore_chain(*storage, 0, ropts);
-        ASSERT_TRUE(state.is_ok())
-            << "seq " << seq << " (threads " << threads << ", map "
-            << map_reads << "): " << state.status().to_string();
-        EXPECT_EQ(state->sequence, seq);
-        expect_state_matches(*state, truth, seq);
-        EXPECT_EQ(state->virtual_time, time_at.at(seq));
-      }
+      RestoreOptions ropts;
+      ropts.upto = seq;
+      ropts.decode_threads = threads;
+      auto state = restore_chain(*storage, 0, ropts);
+      ASSERT_TRUE(state.is_ok()) << "seq " << seq << " (threads " << threads
+                                 << "): " << state.status().to_string();
+      EXPECT_EQ(state->sequence, seq);
+      expect_state_matches(*state, truth, seq);
+      EXPECT_EQ(state->virtual_time, time_at.at(seq));
     }
   }
 }
 
-TEST(CheckpointFuzzTest, FileBackedMapReadsMatchBufferedReads) {
-  // Same invariant against a real file backend, where map_reads decodes
-  // from an actual read-only mmap of each object: mapped and buffered
-  // restores must both reproduce the ground truth.
-  const std::string dir = ::testing::TempDir() + "/ickpt_fuzz_map_test";
+/// The same invariant against a store on a real filesystem, where each
+/// decode shard preads its byte range from the object's file (one file
+/// per object) or from its segment (the store sparse-commits restores
+/// from).
+void check_on_disk_chain(bool segment) {
+  const std::string dir = ::testing::TempDir() + "/ickpt_fuzz_disk_test";
   std::filesystem::remove_all(dir);
 
   Rng rng(99);
   ExplicitEngine engine;
-  AddressSpace space(engine, "fuzzmap");
-  auto storage = storage::make_file_backend(dir);
+  AddressSpace space(engine, "fuzzdisk");
+  auto storage = segment ? storage::make_segment_backend(dir)
+                         : storage::make_file_backend(dir);
   ASSERT_TRUE(storage.is_ok());
   CheckpointerOptions opts;
   opts.full_every = 3;
@@ -196,18 +195,24 @@ TEST(CheckpointFuzzTest, FileBackedMapReadsMatchBufferedReads) {
   }
 
   for (const auto& [seq, truth] : truth_at) {
-    for (bool map_reads : {false, true}) {
-      RestoreOptions ropts;
-      ropts.upto = seq;
-      ropts.map_reads = map_reads;
-      auto state = restore_chain(**storage, 0, ropts);
-      ASSERT_TRUE(state.is_ok())
-          << "seq " << seq << " (map " << map_reads
-          << "): " << state.status().to_string();
-      expect_state_matches(*state, truth, seq);
-    }
+    RestoreOptions ropts;
+    ropts.upto = seq;
+    auto state = restore_chain(**storage, 0, ropts);
+    ASSERT_TRUE(state.is_ok())
+        << "seq " << seq << ": " << state.status().to_string();
+    expect_state_matches(*state, truth, seq);
   }
+  ckpt.reset();
+  storage->reset();
   std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointFuzzTest, FileBackedChainRestoresEverySequence) {
+  check_on_disk_chain(/*segment=*/false);
+}
+
+TEST(CheckpointFuzzTest, SegmentBackedChainRestoresEverySequence) {
+  check_on_disk_chain(/*segment=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzzTest,

@@ -56,6 +56,26 @@ TEST(IoUtilTest, ReadFullReturnsShortCountAtEof) {
   ::close(fds[0]);
 }
 
+TEST(IoUtilTest, PreadExactReadsARangeAndReportsEarlyEof) {
+  std::string path = ::testing::TempDir() + "/ickpt_pread_exact_XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(write_full(fd, as_bytes("0123456789")).is_ok());
+  char buf[4] = {};
+  ASSERT_TRUE(pread_exact(fd, buf, sizeof buf, 3, path).is_ok());
+  EXPECT_EQ(std::string(buf, sizeof buf), "3456");
+  // The file position is untouched: the next write still appends.
+  EXPECT_EQ(::lseek(fd, 0, SEEK_CUR), 10);
+  // A planned range the file cannot fill is damage, not a short count.
+  const Status past = pread_exact(fd, buf, sizeof buf, 8, path);
+  EXPECT_EQ(past.code(), ErrorCode::kCorruption);
+  EXPECT_NE(past.message().find(path), std::string::npos);
+  EXPECT_EQ(pread_exact(-1, buf, sizeof buf, 0, path).code(),
+            ErrorCode::kIoError);
+  ::close(fd);
+  ::unlink(path.c_str());
+}
+
 TEST(IoUtilTest, WriteFullPushesThroughTinySocketBuffers) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <thread>
@@ -133,7 +134,12 @@ class NetServerTest : public ::testing::Test {
     backend_ = storage::make_memory_backend();
     faulty_ =
         std::make_unique<storage::FaultyBackend>(*backend_, fail_after_bytes);
-    auto server = Server::create(*faulty_, options);
+    serve(*faulty_, options);
+  }
+
+  /// Serves `backend` as it is; it must outlive the test.
+  void serve(storage::StorageBackend& backend, ServerOptions options = {}) {
+    auto server = Server::create(backend, options);
     ASSERT_TRUE(server.is_ok()) << server.status().message();
     server_ = std::move(server.value());
     serve_thread_ = std::thread([this] { serve_status_ = server_->serve(); });
@@ -572,6 +578,43 @@ TEST_F(NetServerTest, StatAndGetMissingObject) {
   ASSERT_TRUE(remote.is_ok());
   EXPECT_FALSE((*remote)->exists("nope"));
   EXPECT_EQ((*remote)->open("nope").status().code(), ErrorCode::kNotFound);
+}
+
+TEST_F(NetServerTest, GetOfADirectoryKeyOnAFileStoreIsAnError) {
+  // On a file store the key "rank0" names the directory that holds the
+  // "rank0/..." objects.  A GET of it is an ERR frame, and the
+  // connection goes on serving.
+  const std::string dir = ::testing::TempDir() + "/ickpt_net_dirkey_test";
+  std::filesystem::remove_all(dir);
+  auto files = storage::make_file_backend(dir);
+  ASSERT_TRUE(files.is_ok());
+  backend_ = std::move(files.value());
+  auto w = backend_->create("tenant/t/rank0/ckpt-1");
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->write(pattern_bytes(100, 8)).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+  serve(*backend_);
+
+  RawClient client;
+  ASSERT_TRUE(client.connect_to(server_->port()));
+  ASSERT_TRUE(client.hello().is_ok());
+  for (const char* key : {"rank0", "rank0/"}) {
+    SCOPED_TRACE(key);
+    ASSERT_TRUE(client.send_frame(Verb::kGet, build_get({key})).is_ok());
+    auto reply = client.recv_frame();
+    ASSERT_TRUE(reply.is_ok()) << reply.status().message();
+    EXPECT_EQ(reply->header.verb, Verb::kErr);
+    EXPECT_EQ(from_wire_code(reply->header.code), ErrorCode::kNotFound);
+  }
+  ASSERT_TRUE(
+      client.send_frame(Verb::kStat, build_key_only("rank0/ckpt-1")).is_ok());
+  auto stat = client.recv_frame();
+  ASSERT_TRUE(stat.is_ok()) << stat.status().message();
+  ASSERT_EQ(stat->header.verb, Verb::kStatOk);
+  auto size = parse_stat_ok(stat->payload);
+  ASSERT_TRUE(size.is_ok());
+  EXPECT_EQ(*size, 100u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(NetServerTest, RejectsBadRemoteOptions) {

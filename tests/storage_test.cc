@@ -125,6 +125,48 @@ TEST_P(BackendParamTest, OpenMissingKeyFails) {
   EXPECT_EQ(backend_->open("nope").status().code(), ErrorCode::kNotFound);
 }
 
+TEST_P(BackendParamTest, ReadAtServesInteriorAndPastEofRanges) {
+  std::string payload;
+  for (int i = 0; i < 1000; ++i) payload += "block" + std::to_string(i);
+  auto w = backend_->create("obj");
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+
+  auto r = backend_->open("obj");
+  ASSERT_TRUE(r.is_ok());
+  ASSERT_TRUE((*r)->supports_read_at());
+  ASSERT_EQ((*r)->size(), payload.size());
+  // An interior window agrees byte for byte with the written object.
+  std::vector<std::byte> buf(4000);
+  auto got = (*r)->read_at(17, buf);
+  ASSERT_TRUE(got.is_ok()) << got.status().message();
+  ASSERT_EQ(*got, buf.size());
+  EXPECT_EQ(std::memcmp(buf.data(), payload.data() + 17, buf.size()), 0);
+  // A range that runs past EOF comes back short; one at EOF is empty.
+  got = (*r)->read_at(payload.size() - 5, buf);
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(*got, 5u);
+  EXPECT_EQ(std::memcmp(buf.data(), payload.data() + payload.size() - 5, 5),
+            0);
+  got = (*r)->read_at(payload.size(), buf);
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(*got, 0u);
+}
+
+TEST_P(BackendParamTest, OpenDirectoryKeyIsNotFound) {
+  // On a file store "rank0" names the directory holding "rank0/...";
+  // it is not an object, and opening it must fail, not throw.
+  auto w = backend_->create("rank0/ckpt-1");
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+  for (const char* key : {"rank0", "rank0/"}) {
+    SCOPED_TRACE(key);
+    EXPECT_EQ(backend_->open(key).status().code(), ErrorCode::kNotFound);
+  }
+  EXPECT_TRUE(backend_->open("rank0/ckpt-1").is_ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParamTest,
                          ::testing::Values("file", "memory", "segment"),
                          [](const auto& info) { return info.param; });
@@ -188,59 +230,6 @@ TEST(FaultyBackendTest, BudgetSharedAcrossWriters) {
   ASSERT_TRUE(w2.is_ok());
   ASSERT_TRUE((*w1)->write(as_bytes("1234")).is_ok());
   EXPECT_EQ((*w2)->write(as_bytes("1234")).code(), ErrorCode::kIoError);
-}
-
-TEST(ReaderMapTest, MemoryReaderServesZeroCopyViews) {
-  auto backend = make_memory_backend();
-  auto w = backend->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes("0123456789")).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-
-  auto r = backend->open("obj");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_TRUE((*r)->supports_map());
-  auto view = (*r)->map_at(2, 5);
-  ASSERT_TRUE(view.is_ok());
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(view->data()),
-                        view->size()),
-            "23456");
-  // Zero-length views are fine at any offset (no bytes touched).
-  auto empty = (*r)->map_at(10, 0);
-  ASSERT_TRUE(empty.is_ok());
-  EXPECT_TRUE(empty->empty());
-  // Nonempty past-EOF ranges are corruption: the caller planned them
-  // from the object's own structure.
-  EXPECT_EQ((*r)->map_at(6, 5).status().code(), ErrorCode::kCorruption);
-}
-
-TEST(ReaderMapTest, FileReaderMapMatchesRead) {
-  std::string dir = ::testing::TempDir() + "/ickpt_map_test";
-  auto backend = make_file_backend(dir);
-  ASSERT_TRUE(backend.is_ok());
-  std::string payload;
-  for (int i = 0; i < 1000; ++i) payload += "block" + std::to_string(i);
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-
-  auto r = (*backend)->open("obj");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_TRUE((*r)->supports_map());
-  // Whole object and interior windows agree byte-for-byte with read().
-  auto whole = (*r)->map_at(0, payload.size());
-  ASSERT_TRUE(whole.is_ok());
-  EXPECT_EQ(std::memcmp(whole->data(), payload.data(), payload.size()), 0);
-  auto window = (*r)->map_at(17, 4000);
-  ASSERT_TRUE(window.is_ok());
-  EXPECT_EQ(std::memcmp(window->data(), payload.data() + 17, 4000), 0);
-  // Views from the same reader alias one mapping and stay valid
-  // together.
-  EXPECT_EQ(whole->data() + 17, window->data());
-  EXPECT_EQ((*r)->map_at(payload.size(), 1).status().code(),
-            ErrorCode::kCorruption);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DurablePublishTest, CloseSyncsFileAndDirectory) {

@@ -101,7 +101,7 @@ for f in "$@"; do
   fi
   # X9 (bench "restore") must carry the one-thread and pooled planned
   # arms (the 1T arm is the denominator of the pool speedup) and both
-  # on-disk decode pairs.
+  # on-disk chain arms.
   if [ "$(jq -r '.bench' "$f")" = "restore" ]; then
     if ! jq -e '[.arms[].name] |
         (any(startswith("chain") and endswith("_planned_1t"))) and
