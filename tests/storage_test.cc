@@ -4,6 +4,7 @@
 
 #include "storage/segment_backend.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,11 +39,13 @@ class BackendParamTest
       backend_ = make_memory_backend();
       return;
     }
+    // The name carries the "/<param>" suffix; flatten it so TearDown
+    // removes the whole directory, not just its last component.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = ::testing::TempDir() + "/ickpt_storage_test_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()
-               ->current_test_info()
-               ->name();
+           std::to_string(::getpid()) + "_" + name;
     auto backend = GetParam() == "segment" ? make_segment_backend(dir_)
                                            : make_file_backend(dir_);
     ASSERT_TRUE(backend.is_ok());
